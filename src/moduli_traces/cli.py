@@ -28,6 +28,7 @@ from .traces import (
     CacheIntegrityError,
     HypothesisViolation,
     TraceCache,
+    take_classes,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -151,8 +152,8 @@ def cmd_trace_table(args) -> int:
     for d in range(1, args.dmax + 1):
         if not is_admissible(d, level):
             continue
-        classes = enumerate_classes(level, d)
         rec = trace(level, 1, d, ctx0=_ctx(args), cache=cache)
+        classes = take_classes(level, d)
         rows.append(
             {
                 "d": d,

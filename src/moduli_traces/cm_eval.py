@@ -1,4 +1,22 @@
-"""High-precision evaluation of q-expansions at CM points.
+"""High-precision evaluation of q-expansions at CM points, in fixed point.
+
+The evaluation kernel works on W-bit fixed-point complex numbers: a pair
+(re, im) of Python ints stands for (re + i im) 2^-W, with
+W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  mpmath
+appears only at the boundaries: q and q^-1 enter once per CM point
+(`cm_point_q`, from mpmath.libmp), and a class sum leaves as one mpf
+(`from_fixed`) for `round_to_integer`.
+
+Error model, absolute, for one class value P_D(j(alpha)):
+- the Horner sum over c_v, ..., c_terms is off by at most (terms - v + 1) 2^-W,
+  because every step truncates once and |q| < 1 damps earlier errors;
+- the factor q^-1 scales that error by |q^-1| = e^{pi sqrt(d)/a};
+- the Faber Horner scales it by |P_D'(x)|, about D |x|^{D-1}, and adds one
+  2^-W per step;
+- rounding q and q^-1 to 2^-W adds errors of the same order.
+`plan_precision` budgets for these: bits covers e^{2 pi D y_max} plus
+_GUARD_BITS, so the error stays near 2^-(_GUARD_BITS + FIXED_GUARD_BITS)
+times D (terms + 1).
 
 Correctness rests on an a-posteriori certificate: each sum must round to an
 integer within a tolerance, and escalation (doubling mantissa bits and series
@@ -15,6 +33,18 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import mpmath
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_rational,
+    mpf_cos_sin_pi,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_pi,
+    mpf_sqrt,
+    to_fixed,
+)
 
 from .qforms import QuadForm, HeegnerClass
 from .qseries import TruncatedLaurentSeries, WindowError
@@ -23,6 +53,9 @@ ENV_PREC_BITS = "MODULI_TRACES_PREC_BITS"
 
 _GUARD_BITS = 96
 _MIN_BITS = 128
+FIXED_GUARD_BITS = 32
+
+Fixed = tuple[int, int]  # (re, im): the complex number (re + i im) 2^-W
 
 
 class PrecisionFailure(ArithmeticError):
@@ -66,12 +99,40 @@ def env_bits_floor() -> int:
         return 0
 
 
-def cm_point_q(F: QuadForm, bits: int) -> mpmath.mpc:
-    """q = exp(2 pi i alpha_F) at the CM point alpha_F = (-b + i sqrt(d)) / (2a)."""
-    with mpmath.workprec(bits):
-        d = -F.disc
-        alpha = (mpmath.mpc(-F.b, 0) + mpmath.sqrt(mpmath.mpf(d)) * 1j) / (2 * F.a)
-        return mpmath.exp(2j * mpmath.pi * alpha)
+def fixed_width(bits: int) -> int:
+    """The fixed-point width W used for a precision plan of `bits` bits."""
+    return bits + FIXED_GUARD_BITS
+
+
+def from_fixed(n: int, bits: int, den: int = 1) -> mpmath.mpf:
+    """The mpf n * 2^-W / den, rounded once to W bits."""
+    W = fixed_width(bits)
+    with mpmath.workprec(W):
+        return mpmath.mpf(from_rational(n, den << W, W, "n"))
+
+
+def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
+    """(q, q^-1) in fixed point at the CM point alpha_F = (-b + i sqrt(d)) / (2a).
+
+    With t = pi sqrt(d)/a and u = pi b/a, q = exp(2 pi i alpha_F) is
+    e^-t (cos u - i sin u) and q^-1 = e^t (cos u + i sin u).  q^-1 is formed
+    from e^t itself, not as conj(q)/|q|^2, which underflows to 0 at large
+    heights.  Both are rounded once to 2^-W; e^t is evaluated with its
+    t/ln 2 integer bits on top of W.
+    """
+    W = fixed_width(bits)
+    a, b, d = F.a, F.b, -F.disc
+    prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
+    t = mpf_div(mpf_mul(mpf_pi(prec), mpf_sqrt(from_int(d), prec), prec), from_int(a), prec)
+    grow = mpf_exp(t, prec)
+    decay = mpf_div(fone, grow, prec)
+    cos_u, sin_u = mpf_cos_sin_pi(from_rational(b, a, prec, "n"), prec)
+
+    def fixed(r, x):
+        return to_fixed(mpf_mul(r, x, prec), W)
+
+    q = (fixed(decay, cos_u), -fixed(decay, sin_u))
+    return q, (fixed(grow, cos_u), fixed(grow, sin_u))
 
 
 def eval_at_cm(
@@ -82,31 +143,45 @@ def eval_at_cm(
     The result is complex; callers sum conjugate class pairs before using the
     real part (a single class value is real only for symmetric classes).
     """
-    if series.order <= ctx.terms:
-        raise WindowError(
-            f"series window order {series.order} below requested terms {ctx.terms}"
-        )
-    with mpmath.workprec(ctx.bits):
-        q = cm_point_q(F, ctx.bits)
-        return horner_in_q(series, q, ctx.terms, ctx.bits)
+    re, im = horner_in_q(series, cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
+    with mpmath.workprec(fixed_width(ctx.bits)):
+        return mpmath.mpc(from_fixed(re, ctx.bits), from_fixed(im, ctx.bits))
 
 
 def horner_in_q(
-    series: TruncatedLaurentSeries, q: mpmath.mpc, terms: int, bits: int
-) -> mpmath.mpc:
-    with mpmath.workprec(bits):
-        s = mpmath.mpc(0)
-        for n in range(terms, series.v - 1, -1):
-            s = s * q + series.coeff(n)
-        return s * q ** series.v
+    series: TruncatedLaurentSeries, q: tuple[Fixed, Fixed], terms: int, bits: int
+) -> Fixed:
+    """sum_{n=v}^{terms} c_n q^n in W-bit fixed point; q is (q, q^-1) from cm_point_q.
+
+    Horner over c_terms, ..., c_v (off by at most (terms - v + 1) 2^-W), then
+    |v| factors q^-1 (v < 0) or q (v > 0); see the module docstring.
+    """
+    if series.order <= terms:
+        raise WindowError(
+            f"series window order {series.order} below requested terms {terms}"
+        )
+    W = fixed_width(bits)
+    (qr, qi), q_inv = q
+    sr = si = 0
+    for c in reversed(series.coeffs[: terms - series.v + 1]):
+        sr, si = ((sr * qr - si * qi) >> W) + (c << W), (sr * qi + si * qr) >> W
+    fr, fi = q_inv if series.v < 0 else (qr, qi)
+    for _ in range(abs(series.v)):
+        sr, si = (sr * fr - si * fi) >> W, (sr * fi + si * fr) >> W
+    return sr, si
 
 
-def horner_poly(poly: list[int], x: mpmath.mpc, bits: int) -> mpmath.mpc:
-    with mpmath.workprec(bits):
-        s = mpmath.mpc(0)
-        for c in reversed(poly):
-            s = s * x + c
-        return s
+def horner_poly(poly: list[int], x: Fixed, bits: int) -> Fixed:
+    """The integer polynomial poly (X^0 first) at x, in W-bit fixed point.
+
+    An error e in x becomes about |poly'(x)| e, plus 2^-W per step.
+    """
+    W = fixed_width(bits)
+    xr, xi = x
+    sr = si = 0
+    for c in reversed(poly):
+        sr, si = ((sr * xr - si * xi) >> W) + (c << W), (sr * xi + si * xr) >> W
+    return sr, si
 
 
 def plan_precision(

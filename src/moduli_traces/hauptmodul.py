@@ -47,8 +47,12 @@ def build_hauptmodul(p: PrimeLevel, N: int) -> Hauptmodul:
     j = f + f.inv().scale(p.fricke_const)
     c0 = j.coeff(0)
     j = j - c0
-    # the additive constant is computed, then asserted against theory
-    assert -c0 == p.eta_exponent, (c0, p)
+    # the additive constant is computed, then checked against theory
+    if -c0 != p.eta_exponent:
+        raise ArithmeticError(
+            f"constant term {c0} of f_p + p^(12/(p-1))/f_p at p={p.p} is not "
+            f"-24/(p-1) = {-p.eta_exponent}"
+        )
     return Hauptmodul(p, j.truncate(N))
 
 

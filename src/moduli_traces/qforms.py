@@ -121,8 +121,11 @@ def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
             continue
         break
     R = QuadForm(a, b, c)
-    assert Q.transform(m11, m12, m21, m22) == R
-    assert R.is_reduced()
+    if Q.transform(m11, m12, m21, m22) != R or not R.is_reduced():
+        raise ArithmeticError(
+            f"reduction of {Q.as_tuple()} produced {R.as_tuple()} with matrix "
+            f"{(m11, m12, m21, m22)}, which is not a reduced equivalent form"
+        )
     return R, (m11, m12, m21, m22)
 
 
@@ -171,7 +174,10 @@ def heegner_lift(Q: QuadForm, p: PrimeLevel, beta: int) -> QuadForm:
             m = (x0, x0 - 1, y0, y0) if x0 else (0, -1, 1, 0)
         F = Q.transform(*m)
         if F.b % (2 * pp) == beta % (2 * pp):
-            assert F.a % pp == 0
+            if F.a % pp:
+                raise ArithmeticError(
+                    f"lift {F.as_tuple()} of {Q.as_tuple()} has p={pp} not dividing a"
+                )
             return F
     raise ValueError(f"no root line of {Q} matches beta={beta} mod {2 * pp}")
 
@@ -212,7 +218,8 @@ def _short_vector_improvement(F: QuadForm, p: int) -> tuple[int, int] | None:
 def _complete_gamma0(x: int, py: int) -> tuple[int, int, int, int]:
     """Complete the primitive column (x, py) to a determinant-1 matrix."""
     g, w, u = _xgcd(x, py)
-    assert g == 1
+    if g != 1:
+        raise ValueError(f"column ({x}, {py}) is not primitive: gcd is {g}")
     return (x, -u, py, w)
 
 
@@ -258,7 +265,8 @@ def optimize_height(F: QuadForm, p: PrimeLevel) -> QuadForm:
             F = QuadForm(pp * F.c, -F.b, F.a // pp)
             continue
         break
-    assert F.a % pp == 0
+    if F.a % pp:
+        raise ArithmeticError(f"optimized form {F.as_tuple()} has p={pp} not dividing a")
     return F
 
 
@@ -337,7 +345,8 @@ def class_from_line(
 ) -> QuadForm:
     """The form R o M, p | a, representing the Gamma_0(p)-class of the line."""
     F = R.transform(*_complete_line(line))
-    assert F.a % p.p == 0
+    if F.a % p.p:
+        raise ValueError(f"{line} is not a root line of {R.as_tuple()} mod p={p.p}")
     return F
 
 

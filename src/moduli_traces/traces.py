@@ -33,9 +33,11 @@ from .arith import (
     splits,
 )
 from .cm_eval import (
+    Fixed,
     PrecisionContext,
-    RoundedValue,
     cm_point_q,
+    fixed_width,
+    from_fixed,
     horner_in_q,
     horner_poly,
     plan_precision,
@@ -88,7 +90,7 @@ class _LevelState:
         self.haupt: Hauptmodul | None = None
         self.polys: list[list[int]] = []
         self.classes_cache: dict[tuple[int, str], list[HeegnerClass]] = {}
-        self.value_cache: dict[tuple, mpmath.mpc] = {}
+        self.value_cache: dict[tuple, Fixed] = {}
         self.trace_cache: dict[tuple[int, int, str], TraceRecord] = {}
         self.lock = threading.RLock()
 
@@ -118,9 +120,9 @@ class _LevelState:
                 self.classes_cache[key] = enumerate_classes(self.level, d, method)
             return self.classes_cache[key]
 
-    def cm_value(self, form, ctx: PrecisionContext) -> mpmath.mpc:
-        """j_p*(alpha_form) at exactly (ctx.bits, ctx.terms)."""
-        key = (form.as_tuple(), ctx.bits, ctx.terms)
+    def cm_value(self, form, ctx: PrecisionContext) -> Fixed:
+        """j_p*(alpha_form) in fixed point at exactly (ctx.bits, ctx.terms)."""
+        key = (form.as_tuple(), fixed_width(ctx.bits), ctx.terms)
         with self.lock:
             if key not in self.value_cache:
                 h = self.hauptmodul(ctx.terms + 2)
@@ -138,6 +140,19 @@ def _state(level: PrimeLevel) -> _LevelState:
         if level.p not in _STATES:
             _STATES[level.p] = _LevelState(level)
         return _STATES[level.p]
+
+
+def take_classes(p, d: int, method: str = "gkz") -> list[HeegnerClass]:
+    """The classes of (d, method), removed from the per-level cache.
+
+    For callers that visit each d once, such as a trace table: the classes
+    trace() enumerated are reused, not enumerated again, and then released.
+    """
+    st = _state(_as_level(p))
+    with st.lock:
+        classes = st.classes(d, method)
+        del st.classes_cache[(d, method)]
+        return classes
 
 
 def reset_state():
@@ -163,7 +178,9 @@ def trace(
 
     Classes are summed in conjugate beta-pairs (real parts, doubled off the
     symmetric roots), weighted 1/omega, and halved by the index-2 mass factor
-    converting Gamma_0(p)-classes to Gamma_0(p)*-classes.
+    converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The sum is one
+    fixed-point integer with the weights mult/(2 omega) scaled by 12, which
+    makes them the integers 6 mult/omega for omega in {1, 2, 3}.
     """
     level = _as_level(p)
     if D < 1:
@@ -182,21 +199,27 @@ def trace(
             return hit
 
     classes = st.classes(d, method)
-    folded = [h for h in classes if h.beta <= level.p]
     ctx = plan_precision(d, classes, ctx0, degree=D)
     poly = st.faber_poly(D)
     two_p = 2 * level.p
+    weighted = []
+    for cl in classes:
+        if cl.beta > level.p:
+            continue
+        if 6 % cl.omega:
+            raise ArithmeticError(
+                f"class {cl.sl2_rep.as_tuple()} line {cl.line} of d={d} at "
+                f"p={level.p} has stabilizer order {cl.omega}, not a divisor of 6"
+            )
+        mult = 1 if (2 * cl.beta) % two_p == 0 else 2
+        weighted.append((cl.eval_form, 6 * mult // cl.omega))
 
-    def compute(c: PrecisionContext):
+    def compute(c: PrecisionContext) -> mpmath.mpf:
         st.hauptmodul(c.terms + 2)
-        with mpmath.workprec(c.bits):
-            total = mpmath.mpf(0)
-            for cl in folded:
-                mult = 1 if (2 * cl.beta) % two_p == 0 else 2
-                x = st.cm_value(cl.eval_form, c)
-                val = horner_poly(poly, x, c.bits)
-                total += mpmath.mpf(mult) * val.real / cl.omega
-            return total / 2
+        total = 0
+        for form, w in weighted:
+            total += w * horner_poly(poly, st.cm_value(form, c), c.bits)[0]
+        return from_fixed(total, c.bits, 12)
 
     rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
     heights = tuple(
@@ -603,12 +626,16 @@ class TraceCache:
             return {"path": str(self.path), "records": len(self._mem), "by_level": by_p}
 
     def verify(self) -> dict:
-        """Recompute every cached trace and compare; returns a report."""
+        """Recompute every cached trace and compare; returns a report.
+
+        Each recomputation bypasses the in-process trace memo and uses the
+        record's own class enumeration method.
+        """
         bad = []
         with self._lock:
             items = list(self._mem.values())
         for rec in items:
-            fresh = trace(rec.p, rec.D, rec.d)
+            fresh = trace(rec.p, rec.D, rec.d, method=rec.method, memo=False)
             if fresh.value != rec.value:
                 bad.append({"p": rec.p, "D": rec.D, "d": rec.d,
                             "cached": str(rec.value), "fresh": str(fresh.value)})

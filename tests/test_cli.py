@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from moduli_traces import cli
+from moduli_traces import cli, traces
+from moduli_traces.arith import PrimeLevel
 from moduli_traces.traces import reset_state
 
 
@@ -160,6 +161,25 @@ class TestTraceTable:
         run(capsys, "trace-table", "--p", "2", "--dmax", "24", "--out", str(f2),
             "--cache", cache)
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_enumerates_each_row_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = traces.enumerate_classes
+
+        def counted(level, d, method="gkz"):
+            calls.append(d)
+            return real(level, d, method)
+
+        monkeypatch.setattr(traces, "enumerate_classes", counted)
+        for _ in range(2):  # cold, then every row from the cache file
+            reset_state()
+            code, out, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
+                               "--cache", str(tmp_path / "c.jsonl"))
+            assert code == 0
+            rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out))]
+            assert calls == rows
+            assert traces._state(PrimeLevel(2)).classes_cache == {}
+            calls.clear()
 
 
 class TestCacheCommand:

@@ -3,7 +3,8 @@
 import mpmath
 import pytest
 
-from moduli_traces.arith import PrimeLevel
+import oracles
+from moduli_traces.arith import PrimeLevel, is_admissible
 from moduli_traces.cm_eval import (
     ENV_PREC_BITS,
     PrecisionContext,
@@ -11,14 +12,22 @@ from moduli_traces.cm_eval import (
     cm_point_q,
     env_bits_floor,
     eval_at_cm,
+    fixed_width,
+    horner_in_q,
+    horner_poly,
     plan_precision,
     round_to_integer,
 )
-from moduli_traces.hauptmodul import build_hauptmodul
+from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
 from moduli_traces.qforms import QuadForm, enumerate_classes
 from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
+from moduli_traces.traces import trace
 
 P2 = PrimeLevel(2)
+
+
+def to_mpc(z, bits):
+    return mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / 2 ** fixed_width(bits)
 
 
 class TestContext:
@@ -48,10 +57,11 @@ class TestEvalAtCM:
         assert str(val.real)[:8] == "535.4916"
 
     def test_cm_point_on_negative_real_axis(self):
-        # F = [2,2,1]: alpha = (-1+i)/2, so q = -e^{-pi}
-        q = cm_point_q(QuadForm(2, 2, 1), 128)
-        with mpmath.workprec(128):
-            assert abs(q + mpmath.exp(-mpmath.pi)) < mpmath.mpf(2) ** -100
+        # F = [2,2,1]: alpha = (-1+i)/2, so q = -e^{-pi} and q^-1 = -e^{pi}
+        q, q_inv = cm_point_q(QuadForm(2, 2, 1), 128)
+        with mpmath.workprec(256):
+            assert abs(to_mpc(q, 128) + mpmath.exp(-mpmath.pi)) < mpmath.mpf(2) ** -100
+            assert abs(to_mpc(q_inv, 128) + mpmath.exp(mpmath.pi)) < mpmath.mpf(2) ** -100
 
     def test_hauptmodul_singular_value(self):
         # j_2* at alpha = (-1+i)/2 is the algebraic integer -104 (the d=4
@@ -97,6 +107,57 @@ class TestEvalAtCM:
                 v2 = eval_at_cm(h.series, cl.eval_form, ctx.escalate())
                 with mpmath.workprec(2 * ctx.bits):
                     assert abs(v1 - v2) < mpmath.mpf(2) ** (-ctx.bits // 2)
+
+
+class TestFixedPointKernel:
+    """The fixed-point kernel against the mpmath-object oracle."""
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_cm_values_match_oracle(self, p):
+        # every class with d <= 300, at its planned precision: the fixed-point
+        # value agrees with the oracle to 2^-(bits-8), relative to max(1, |value|)
+        level = PrimeLevel(p)
+        series = build_hauptmodul(level, 1024).series
+        checked = 0
+        for d in range(1, 301):
+            if not is_admissible(d, level):
+                continue
+            classes = enumerate_classes(level, d)
+            ctx = plan_precision(d, classes)
+            for cl in classes:
+                got = horner_in_q(series, cm_point_q(cl.eval_form, ctx.bits), ctx.terms, ctx.bits)
+                q = oracles.cm_point_q(cl.eval_form, ctx.bits)
+                ref = oracles.horner_in_q(series, q, ctx.terms, ctx.bits)
+                with mpmath.workprec(fixed_width(ctx.bits)):
+                    err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
+                    assert err <= mpmath.mpf(2) ** -(ctx.bits - 8), (d, cl.eval_form)
+                checked += 1
+        assert checked > 800
+
+    def test_faber_horner_matches_oracle(self):
+        h = build_hauptmodul(P2, 200)
+        poly = faber_polys(h, 15)[15]
+        classes = enumerate_classes(P2, 23)
+        ctx = plan_precision(23, classes, degree=15)
+        for cl in classes:
+            x = horner_in_q(h.series, cm_point_q(cl.eval_form, ctx.bits), ctx.terms, ctx.bits)
+            got = horner_poly(poly, x, ctx.bits)
+            with mpmath.workprec(fixed_width(ctx.bits)):
+                ref = oracles.horner_poly(poly, to_mpc(x, ctx.bits), fixed_width(ctx.bits))
+                err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
+                assert err <= mpmath.mpf(2) ** -(ctx.bits - 8)
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_traces_identical_to_oracle_and_stable_under_escalation(self, p):
+        level = PrimeLevel(p)
+        for D in (1, 5, 15):
+            for d in range(1, 100):
+                if not is_admissible(d, level):
+                    continue
+                value = trace(level, D, d, memo=False).value
+                assert value == oracles.trace_value(p, D, d), (D, d)
+                up = plan_precision(d, enumerate_classes(level, d), degree=D).escalate()
+                assert trace(level, D, d, ctx0=up).value == value, (D, d)
 
 
 class TestPlanPrecision:

@@ -11,6 +11,7 @@ from moduli_traces.qforms import (
     InadmissibleDiscriminant,
     NotPositiveDefinite,
     QuadForm,
+    _complete_gamma0,
     brute_force_labels,
     class_reps,
     enumerate_classes,
@@ -162,6 +163,12 @@ class TestOptimizeHeight:
     def test_requires_divisible_leading(self):
         with pytest.raises(ValueError):
             optimize_height(QuadForm(1, 0, 1), P2)
+
+    def test_complete_gamma0_rejects_non_primitive_column(self):
+        x, m12, py, m22 = _complete_gamma0(3, 4)
+        assert (x, py) == (3, 4) and 3 * m22 - m12 * 4 == 1
+        with pytest.raises(ValueError):
+            _complete_gamma0(4, 6)
 
 
 class TestStabilizersAndLines:

@@ -3,13 +3,15 @@ and the persistent cache."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import oracles
 from moduli_traces.arith import PrimeLevel, divisors, is_admissible, kronecker
-from moduli_traces.cm_eval import PrecisionContext, cm_point_q, horner_in_q
+from moduli_traces.cm_eval import PrecisionContext
 from moduli_traces.hauptmodul import build_hauptmodul
 from moduli_traces.qforms import InadmissibleDiscriminant, QuadForm
 from moduli_traces.qseries import WindowError
@@ -18,10 +20,13 @@ from moduli_traces.traces import (
     CoeffTable,
     HypothesisViolation,
     TraceCache,
+    _state,
     a_coeff,
     b_coeff,
     hecke_apply,
     plus_condition,
+    reset_state,
+    take_classes,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -47,8 +52,8 @@ class TestTrace:
         rec = trace(P2, 1, 4)
         h = build_hauptmodul(P2, 200)
         with mpmath.workprec(256):
-            q = cm_point_q(QuadForm(2, 2, 1), 256)
-            val = horner_in_q(h.series, q, 150, 256).real / 4
+            q = oracles.cm_point_q(QuadForm(2, 2, 1), 256)
+            val = oracles.horner_in_q(h.series, q, 150, 256).real / 4
             assert int(mpmath.nint(val)) == rec.value
             assert abs(val - rec.value) < 1e-30
         assert rec.value == -26
@@ -64,6 +69,16 @@ class TestTrace:
         # Gamma_0(2)-classes; merging them breaks integrality and this value
         assert trace(P2, 1, 108).value == -12288992
         assert trace(P2, 1, 16).value == 518
+
+    def test_take_classes_reuses_and_releases(self):
+        reset_state()
+        trace(P2, 1, 23)
+        cached = _state(P2).classes_cache[(23, "gkz")]
+        assert take_classes(P2, 23) is cached
+        assert (23, "gkz") not in _state(P2).classes_cache
+        # absent from the cache: enumerated, returned, and not kept
+        assert take_classes(P2, 23) == cached
+        assert (23, "gkz") not in _state(P2).classes_cache
 
     def test_methods_agree(self):
         for d in (16, 23, 108):
@@ -333,8 +348,6 @@ class TestTraceCache:
         cache = TraceCache(path)
         rec = trace(P2, 1, 4)
         cache.put(rec)
-        from dataclasses import replace
-
         with pytest.raises(CacheIntegrityError):
             cache.put(replace(rec, value=rec.value + 1))
 
@@ -364,6 +377,23 @@ class TestTraceCache:
         assert stats["records"] == 3 and stats["by_level"] == {2: 2, 3: 1}
         report = cache.verify()
         assert report["ok"] and report["checked"] == 3
+
+    def test_verify_ignores_a_poisoned_memo(self, tmp_path):
+        # a wrong value in the in-process memo and in the cache file: verify
+        # recomputes instead of reading the memo back, and reports it
+        rec = trace(P2, 1, 39)
+        bad = replace(rec, value=rec.value + 1)
+        _state(P2).trace_cache[(1, 39, "gkz")] = bad
+        try:
+            cache = TraceCache(tmp_path / "c.jsonl")
+            cache.put(bad)
+            report = cache.verify()
+        finally:
+            reset_state()
+        assert not report["ok"]
+        assert report["mismatches"] == [
+            {"p": 2, "D": 1, "d": 39, "cached": str(bad.value), "fresh": str(rec.value)}
+        ]
 
     def test_trace_uses_cache(self, tmp_path):
         path = tmp_path / "c.jsonl"
