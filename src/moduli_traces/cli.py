@@ -16,7 +16,6 @@ import sys
 
 from .arith import (
     PrimeLevel,
-    SUPPORTED_LEVELS,
     UnsupportedLevel,
     is_admissible,
     splits,
@@ -45,12 +44,6 @@ EXIT_IO = 4
 def _fail(msg: str, code: int) -> int:
     print(json.dumps({"error": msg}), file=sys.stderr)
     return code
-
-
-def _level(p: int) -> PrimeLevel:
-    # UnsupportedLevel's message names the supported set and the out-of-scope
-    # genus-zero primes; let it propagate to the exit-2 handler.
-    return PrimeLevel(p)
 
 
 def _ctx(args) -> PrecisionContext | None:
@@ -91,7 +84,7 @@ def _emit(obj: dict, fmt: str, rows: list[dict] | None = None, out: str | None =
 
 
 def cmd_hauptmodul(args) -> int:
-    level = _level(args.p)
+    level = PrimeLevel(args.p)
     if args.terms < 2:
         return _fail("terms must be >= 2", EXIT_BAD_INPUT)
     h = build_hauptmodul(level, args.terms + 1)
@@ -109,7 +102,7 @@ def cmd_hauptmodul(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    level = _level(args.p)
+    level = PrimeLevel(args.p)
     classes = enumerate_classes(level, args.d, method=args.method)
     rows = [
         {
@@ -127,7 +120,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    level = _level(args.p)
+    level = PrimeLevel(args.p)
     cache = TraceCache(args.cache)
     rec = trace(level, args.D, args.d, ctx0=_ctx(args), method=args.method, cache=cache)
     obj = {
@@ -146,7 +139,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_trace_table(args) -> int:
-    level = _level(args.p)
+    level = PrimeLevel(args.p)
     cache = TraceCache(args.cache)
     rows = []
     for d in range(1, args.dmax + 1):
@@ -169,7 +162,7 @@ def cmd_trace_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    level = _level(args.p)
+    level = PrimeLevel(args.p)
     ctx0 = _ctx(args)
     reports = []
     if args.kind == "congruence":
@@ -194,7 +187,7 @@ def cmd_verify(args) -> int:
         )
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}
-    _emit(obj, "json" if args.format == "csv" else args.format, out=args.out)
+    _emit(obj, args.format, out=args.out)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -212,12 +205,12 @@ def cmd_cache(args) -> int:
 # parser
 
 
-def _add_common(sp, cache_default="./traces-cache.jsonl"):
-    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+def _add_common(sp, formats=("text", "json", "csv"), cache_help=None):
+    sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--prec-bits", type=int, default=None)
     sp.add_argument("--terms", type=int, default=None)
     sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--cache", default=cache_default)
+    sp.add_argument("--cache", default="./traces-cache.jsonl", help=cache_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dmax", type=int, default=30)
     sp.add_argument("--Dmax", type=int, default=16)
     sp.add_argument("--out", default=None)
-    _add_common(sp)
+    _add_common(sp, formats=("text", "json"),
+                cache_help="accepted and ignored: verify neither reads nor writes the cache")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("cache", help="inspect or verify the trace cache")

@@ -28,7 +28,6 @@ not the envelope, is the correctness gate.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -49,11 +48,10 @@ from mpmath.libmp import (
 from .qforms import QuadForm, HeegnerClass
 from .qseries import TruncatedLaurentSeries, WindowError
 
-ENV_PREC_BITS = "MODULI_TRACES_PREC_BITS"
-
 _GUARD_BITS = 96
 _MIN_BITS = 128
 FIXED_GUARD_BITS = 32
+MAX_RETRIES = 4  # escalations round_to_integer tries before giving up
 
 Fixed = tuple[int, int]  # (re, im): the complex number (re + i im) 2^-W
 
@@ -69,7 +67,6 @@ class PrecisionContext:
     bits: int = _MIN_BITS
     terms: int = 64
     tol: float = 1e-6
-    max_retries: int = 4
 
     def __post_init__(self):
         if self.bits < 64:
@@ -89,14 +86,6 @@ class RoundedValue:
     residual: float
     bits_used: int
     terms_used: int
-
-
-def env_bits_floor() -> int:
-    raw = os.environ.get(ENV_PREC_BITS, "")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
 
 
 def fixed_width(bits: int) -> int:
@@ -133,19 +122,6 @@ def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
 
     q = (fixed(decay, cos_u), -fixed(decay, sin_u))
     return q, (fixed(grow, cos_u), fixed(grow, sin_u))
-
-
-def eval_at_cm(
-    series: TruncatedLaurentSeries, F: QuadForm, ctx: PrecisionContext
-) -> mpmath.mpc:
-    """Sum the series at the CM point of F, using terms up to q^{ctx.terms}.
-
-    The result is complex; callers sum conjugate class pairs before using the
-    real part (a single class value is real only for symmetric classes).
-    """
-    re, im = horner_in_q(series, cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
-    with mpmath.workprec(fixed_width(ctx.bits)):
-        return mpmath.mpc(from_fixed(re, ctx.bits), from_fixed(im, ctx.bits))
 
 
 def horner_in_q(
@@ -204,7 +180,7 @@ def plan_precision(
     ys = [sqrt_d / (2 * h.eval_form.a) for h in classes]
     y_max, y_min = max(ys), min(ys)
     bits = math.ceil(2 * math.pi * degree * y_max / math.log(2)) + _GUARD_BITS
-    bits = max(bits, ctx0.bits, _MIN_BITS, env_bits_floor())
+    bits = max(bits, ctx0.bits, _MIN_BITS)
     target = bits * math.log(2)
     n = 64
     for _ in range(8):
@@ -221,7 +197,7 @@ def round_to_integer(
     """Nearest integer with residual certificate; escalates precision on failure.
 
     `recompute`, when given, is called with the escalated context and must
-    return a fresh value of the same quantity.  Exhausting max_retries raises
+    return a fresh value of the same quantity.  Exhausting MAX_RETRIES raises
     PrecisionFailure: that signals a bug or an inadequate model, never a value
     to be silently rounded.
     """
@@ -232,7 +208,7 @@ def round_to_integer(
             residual = float(abs(x - n))
         if residual <= ctx.tol:
             return RoundedValue(n, residual, ctx.bits, ctx.terms)
-        if recompute is None or attempts >= ctx.max_retries:
+        if recompute is None or attempts >= MAX_RETRIES:
             raise PrecisionFailure(
                 f"residual {residual} above tolerance {ctx.tol} after "
                 f"{attempts} escalations (bits={ctx.bits}, terms={ctx.terms})"

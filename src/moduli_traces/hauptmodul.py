@@ -8,8 +8,6 @@ q^{-D} + O(q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .arith import PrimeLevel
 from .qseries import TruncatedLaurentSeries, eta_quotient_f, WindowError
 
@@ -22,21 +20,10 @@ class Hauptmodul:
             raise ValueError("Hauptmodul must be normalized q^{-1} + O(q)")
         self.p = p
         self.series = series
-        self._faber: dict[int, FaberSeries] = {}
 
     @property
     def order(self) -> int:
         return self.series.order
-
-
-@dataclass
-class FaberSeries:
-    """j_{p,D} = P_D(j_p*) = q^{-D} + O(q), with the monic polynomial P_D."""
-
-    p: PrimeLevel
-    D: int
-    series: TruncatedLaurentSeries
-    poly: list[int] = field(repr=False)  # coefficients of P_D, X^0 first
 
 
 def build_hauptmodul(p: PrimeLevel, N: int) -> Hauptmodul:
@@ -56,38 +43,6 @@ def build_hauptmodul(p: PrimeLevel, N: int) -> Hauptmodul:
     return Hauptmodul(p, j.truncate(N))
 
 
-def faber(h: Hauptmodul, D: int) -> FaberSeries:
-    """Faber series of degree D, by greedy subtraction against lower degrees.
-
-    Starting from (j_p*)^D, integer multiples of the already-built j_{p,D'}
-    (D' < D) and of 1 are subtracted to kill the coefficients of
-    q^{-D+1}, ..., q^0; this keeps every intermediate integral.
-    """
-    if D < 1:
-        raise ValueError("Faber degree must be >= 1")
-    if h.order <= D:
-        raise WindowError(f"window order {h.order} too small for Faber degree {D}")
-    if D in h._faber:
-        return h._faber[D]
-    cur = h.series ** D
-    poly = [0] * (D + 1)
-    poly[D] = 1
-    for m in range(D - 1, 0, -1):
-        c = cur.coeff(-m)
-        if c:
-            lower = faber(h, m)
-            cur = cur - lower.series.scale(c)
-            for i, a in enumerate(lower.poly):
-                poly[i] -= c * a
-    c0 = cur.coeff(0)
-    if c0:
-        cur = cur - c0
-        poly[0] -= c0
-    fs = FaberSeries(h.p, D, cur, poly)
-    h._faber[D] = fs
-    return fs
-
-
 def faber_polys(h: Hauptmodul, Dmax: int) -> list[list[int]]:
     """P_0 ... P_Dmax via the series-free convolution recurrence.
 
@@ -96,8 +51,8 @@ def faber_polys(h: Hauptmodul, Dmax: int) -> list[list[int]]:
 
         P_D(X) = X P_{D-1}(X) - sum_{j=2}^{D-1} b_{j-1} P_{D-j}(X) - D b_{D-1},
 
-    which needs only b_1, ..., b_{Dmax-1}.  Cross-checked against `faber`
-    (the greedy series construction) in the test suite.
+    which needs only b_1, ..., b_{Dmax-1}.  The test suite cross-checks it
+    against the greedy series construction in tests/oracles.py.
     """
     if h.order <= Dmax - 1:
         raise WindowError(f"need Hauptmodul coefficients up to q^{Dmax - 1}")

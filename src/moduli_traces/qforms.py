@@ -152,36 +152,6 @@ def class_reps(d: int) -> list[QuadForm]:
     return reps
 
 
-def heegner_lift(Q: QuadForm, p: PrimeLevel, beta: int) -> QuadForm:
-    """An SL_2-equivalent form [a, b, c] with p | a and b = beta (mod 2p).
-
-    The projective root lines of Q mod p (two distinct ones when p does not
-    divide d) carry the roots +-beta; the line is picked by checking the
-    transformed middle coefficient.  When p does not divide d this selects
-    the same class that `enumerate_classes` labels (SL_2 class of Q, beta).
-    """
-    d = -Q.disc
-    pp = p.p
-    if (beta * beta + d) % (4 * pp):
-        raise ValueError(f"beta={beta} is not a square root of -{d} mod {4 * pp}")
-    for (x0, y0) in [(t, 1) for t in range(pp)] + [(1, 0)]:
-        if Q.value(x0, y0) % pp:
-            continue
-        # complete (x0, y0) to a unimodular matrix
-        if y0 == 0:
-            m = (x0, 0, y0, 1)
-        else:
-            m = (x0, x0 - 1, y0, y0) if x0 else (0, -1, 1, 0)
-        F = Q.transform(*m)
-        if F.b % (2 * pp) == beta % (2 * pp):
-            if F.a % pp:
-                raise ArithmeticError(
-                    f"lift {F.as_tuple()} of {Q.as_tuple()} has p={pp} not dividing a"
-                )
-            return F
-    raise ValueError(f"no root line of {Q} matches beta={beta} mod {2 * pp}")
-
-
 def _short_vector_improvement(F: QuadForm, p: int) -> tuple[int, int] | None:
     """A vector (x, p*y), gcd(x, p*y) = 1, with F(x, p*y) < F.a, if one exists.
 

@@ -51,9 +51,6 @@ class TruncatedLaurentSeries:
             return 0
         return self.coeffs[n - self.v]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         """Equality on the common window."""
         if not isinstance(other, TruncatedLaurentSeries):
@@ -185,14 +182,6 @@ class TruncatedLaurentSeries:
             {"v": self.v, "N": self.order, "coeffs": [str(c) for c in self.coeffs]}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedLaurentSeries":
-        obj = json.loads(text)
-        s = cls(obj["v"], [int(c) for c in obj["coeffs"]])
-        if s.order != obj["N"] and not (s.v > obj["v"]):
-            raise ValueError("inconsistent series window in JSON payload")
-        return s
-
 
 def constant(c: int, order: int = 1) -> TruncatedLaurentSeries:
     """The constant series c + O(q^order)."""
@@ -201,15 +190,6 @@ def constant(c: int, order: int = 1) -> TruncatedLaurentSeries:
     coeffs = [0] * order
     coeffs[0] = c
     return TruncatedLaurentSeries(0, coeffs) if c else TruncatedLaurentSeries(order - 1, [0])
-
-
-def monomial(c: int, n: int, order: int) -> TruncatedLaurentSeries:
-    """The series c*q^n + O(q^order)."""
-    if order <= n:
-        raise WindowError("monomial outside requested window")
-    coeffs = [0] * (order - n)
-    coeffs[0] = c
-    return TruncatedLaurentSeries(n, coeffs)
 
 
 def euler_product(N: int) -> TruncatedLaurentSeries:

@@ -1,20 +1,64 @@
 """Reference implementations the tests compare the fast paths against.
 
-These evaluate in mpmath `mpc` objects at `bits` bits of floating-point
-precision, as the package did before its fixed-point kernel: the same
-precision plan, the same class weights and the same certificate, but
-independent arithmetic.
+The CM references evaluate in mpmath `mpc` objects at `bits` bits of
+floating-point precision, as the package did before its fixed-point kernel:
+the same precision plan, the same class weights and the same certificate, but
+independent arithmetic.  The Faber reference builds each Faber series by
+greedy subtraction of exact series, independently of the recurrence in
+`hauptmodul.faber_polys`.
 """
 
 from __future__ import annotations
+
+import functools
+from dataclasses import dataclass, field
 
 import mpmath
 
 from moduli_traces.arith import PrimeLevel
 from moduli_traces.cm_eval import PrecisionContext, plan_precision, round_to_integer
-from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
+from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
 from moduli_traces.qforms import QuadForm, enumerate_classes
-from moduli_traces.qseries import TruncatedLaurentSeries
+from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
+
+
+@dataclass
+class FaberSeries:
+    """j_{p,D} = P_D(j_p*) = q^{-D} + O(q), with the monic polynomial P_D."""
+
+    p: PrimeLevel
+    D: int
+    series: TruncatedLaurentSeries
+    poly: list[int] = field(repr=False)  # coefficients of P_D, X^0 first
+
+
+@functools.lru_cache(maxsize=None)
+def faber(h: Hauptmodul, D: int) -> FaberSeries:
+    """Faber series of degree D, by greedy subtraction against lower degrees.
+
+    Starting from (j_p*)^D, integer multiples of the already-built j_{p,D'}
+    (D' < D) and of 1 are subtracted to kill the coefficients of
+    q^{-D+1}, ..., q^0; this keeps every intermediate integral.
+    """
+    if D < 1:
+        raise ValueError("Faber degree must be >= 1")
+    if h.order <= D:
+        raise WindowError(f"window order {h.order} too small for Faber degree {D}")
+    cur = h.series ** D
+    poly = [0] * (D + 1)
+    poly[D] = 1
+    for m in range(D - 1, 0, -1):
+        c = cur.coeff(-m)
+        if c:
+            lower = faber(h, m)
+            cur = cur - lower.series.scale(c)
+            for i, a in enumerate(lower.poly):
+                poly[i] -= c * a
+    c0 = cur.coeff(0)
+    if c0:
+        cur = cur - c0
+        poly[0] -= c0
+    return FaberSeries(h.p, D, cur, poly)
 
 
 def cm_point_q(F: QuadForm, bits: int) -> mpmath.mpc:

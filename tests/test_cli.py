@@ -65,6 +65,30 @@ class TestTrace:
         obj = json.loads(out)
         assert obj["cached"] is True and obj["trace"] == "-26"
 
+    def test_brute_method_recomputes_over_cached_gkz(self, tmp_path, capsys):
+        cache = tmp_path / "c.jsonl"
+        args = ("trace", "--p", "2", "--d", "23", "--format", "json", "--cache", str(cache))
+        reset_state()
+        _, out_gkz, _ = run(capsys, *args)
+        size = cache.stat().st_size
+        reset_state()
+        code, out_brute, _ = run(capsys, *args, "--method", "brute")
+        assert code == 0
+        gkz, brute = json.loads(out_gkz), json.loads(out_brute)
+        assert brute["method"] == "brute" and brute["cached"] is False
+        assert brute["trace"] == gkz["trace"]
+        assert cache.stat().st_size == size
+
+    def test_brute_method_conflicting_cache_exits_4(self, tmp_path, capsys):
+        cache = tmp_path / "c.jsonl"
+        cache.write_text(json.dumps({"p": 2, "D": 1, "d": 23, "t": "999", "bits": 128,
+                                     "terms": 64, "method": "gkz"}) + "\n")
+        reset_state()
+        code, _, err = run(capsys, "trace", "--p", "2", "--d", "23", "--method", "brute",
+                           "--cache", str(cache))
+        assert code == 4
+        assert "999" in json.loads(err)["error"]
+
     def test_inadmissible_exits_2(self, tmp_path, capsys):
         code, *_ = run(capsys, "trace", "--p", "2", "--d", "5",
                        "--cache", str(tmp_path / "c.jsonl"))
@@ -120,6 +144,12 @@ class TestVerify:
                            "--dmax", "20", "--cache", str(tmp_path / "c.jsonl"))
         assert code == 2
         assert "odd" in json.loads(err)["error"]
+
+    def test_csv_format_exits_2(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "verify", "congruence", "--p", "2", "--ell", "3",
+                           "--dmax", "20", "--format", "csv",
+                           "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
 
     def test_report_written_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"

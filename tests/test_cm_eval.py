@@ -6,12 +6,10 @@ import pytest
 import oracles
 from moduli_traces.arith import PrimeLevel, is_admissible
 from moduli_traces.cm_eval import (
-    ENV_PREC_BITS,
+    MAX_RETRIES,
     PrecisionContext,
     PrecisionFailure,
     cm_point_q,
-    env_bits_floor,
-    eval_at_cm,
     fixed_width,
     horner_in_q,
     horner_poly,
@@ -28,6 +26,13 @@ P2 = PrimeLevel(2)
 
 def to_mpc(z, bits):
     return mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / 2 ** fixed_width(bits)
+
+
+def eval_at(series, F, ctx):
+    """The series summed at the CM point of F, through the fixed-point kernel."""
+    z = horner_in_q(series, cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
+    with mpmath.workprec(fixed_width(ctx.bits)):
+        return to_mpc(z, ctx.bits)
 
 
 class TestContext:
@@ -50,7 +55,7 @@ class TestEvalAtCM:
         # series q^-1 at alpha = i is e^{2 pi}
         series = TruncatedLaurentSeries(-1, [1] + [0] * 40)
         ctx = PrecisionContext(bits=128, terms=30)
-        val = eval_at_cm(series, QuadForm(1, 0, 1), ctx)
+        val = eval_at(series, QuadForm(1, 0, 1), ctx)
         with mpmath.workprec(128):
             expect = mpmath.exp(2 * mpmath.pi)
             assert abs(val - expect) < mpmath.mpf(2) ** -100
@@ -68,7 +73,7 @@ class TestEvalAtCM:
         # class is symmetric, so a single evaluation is already real)
         h = build_hauptmodul(P2, 120)
         ctx = PrecisionContext(bits=192, terms=100)
-        val = eval_at_cm(h.series, QuadForm(2, 2, 1), ctx)
+        val = eval_at(h.series, QuadForm(2, 2, 1), ctx)
         with mpmath.workprec(192):
             assert abs(val.imag) < mpmath.mpf(2) ** -96
             assert abs(val.real + 104) < 1e-30
@@ -76,13 +81,13 @@ class TestEvalAtCM:
     def test_window_contract(self):
         series = TruncatedLaurentSeries(-1, [1] * 10)
         with pytest.raises(WindowError):
-            eval_at_cm(series, QuadForm(1, 0, 1), PrecisionContext(bits=128, terms=50))
+            eval_at(series, QuadForm(1, 0, 1), PrecisionContext(bits=128, terms=50))
 
     def test_deterministic(self):
         h = build_hauptmodul(P2, 80)
         ctx = PrecisionContext(bits=192, terms=60)
-        a = eval_at_cm(h.series, QuadForm(2, 2, 1), ctx)
-        b = eval_at_cm(h.series, QuadForm(2, 2, 1), ctx)
+        a = eval_at(h.series, QuadForm(2, 2, 1), ctx)
+        b = eval_at(h.series, QuadForm(2, 2, 1), ctx)
         assert a == b
 
     def test_conjugate_beta_pairs(self):
@@ -94,7 +99,7 @@ class TestEvalAtCM:
         with mpmath.workprec(192):
             sums = {1: mpmath.mpc(0), 3: mpmath.mpc(0)}
             for c in classes:
-                sums[c.beta] += eval_at_cm(h.series, c.eval_form, ctx) / c.omega
+                sums[c.beta] += eval_at(h.series, c.eval_form, ctx) / c.omega
             assert abs(sums[1] - mpmath.conj(sums[3])) < mpmath.mpf(2) ** -96
             assert abs((sums[1] + sums[3]).imag) < mpmath.mpf(2) ** -96
 
@@ -103,8 +108,8 @@ class TestEvalAtCM:
         for d in (4, 15, 23):
             for cl in enumerate_classes(P2, d):
                 ctx = plan_precision(d, [cl])
-                v1 = eval_at_cm(h.series, cl.eval_form, ctx)
-                v2 = eval_at_cm(h.series, cl.eval_form, ctx.escalate())
+                v1 = eval_at(h.series, cl.eval_form, ctx)
+                v2 = eval_at(h.series, cl.eval_form, ctx.escalate())
                 with mpmath.workprec(2 * ctx.bits):
                     assert abs(v1 - v2) < mpmath.mpf(2) ** (-ctx.bits // 2)
 
@@ -185,14 +190,6 @@ class TestPlanPrecision:
         ctx = plan_precision(4, classes, ctx0=PrecisionContext(bits=512, terms=300))
         assert ctx.bits >= 512 and ctx.terms >= 300
 
-    def test_env_floor(self, monkeypatch):
-        monkeypatch.setenv(ENV_PREC_BITS, "777")
-        assert env_bits_floor() == 777
-        classes = enumerate_classes(P2, 4)
-        assert plan_precision(4, classes).bits >= 777
-        monkeypatch.setenv(ENV_PREC_BITS, "junk")
-        assert env_bits_floor() == 0
-
     def test_empty_classes_rejected(self):
         with pytest.raises(ValueError):
             plan_precision(4, [])
@@ -224,7 +221,7 @@ class TestRoundToInteger:
         assert calls and calls[0] == (256, 16)
 
     def test_retry_budget_exhausted(self):
-        ctx = PrecisionContext(bits=128, tol=1e-6, max_retries=2)
+        ctx = PrecisionContext(bits=128, tol=1e-6)
         calls = []
 
         def stuck(c):
@@ -233,4 +230,4 @@ class TestRoundToInteger:
 
         with pytest.raises(PrecisionFailure):
             round_to_integer(mpmath.mpf("0.5"), ctx, recompute=stuck)
-        assert len(calls) == 2
+        assert MAX_RETRIES == 4 and calls == [256, 512, 1024, 2048]

@@ -3,7 +3,8 @@
 import pytest
 
 from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel
-from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber, faber_polys
+from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
+from oracles import faber
 from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
 
 

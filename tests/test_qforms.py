@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, sqrt_classes, is_admissible
+from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, is_admissible
 from moduli_traces.qforms import (
     HeegnerClass,
     InadmissibleDiscriminant,
@@ -13,9 +13,9 @@ from moduli_traces.qforms import (
     QuadForm,
     _complete_gamma0,
     brute_force_labels,
+    class_from_line,
     class_reps,
     enumerate_classes,
-    heegner_lift,
     optimize_height,
     reduce_sl2,
     root_lines,
@@ -110,26 +110,34 @@ class TestClassReps:
 
 
 class TestHeegnerLift:
+    """The Heegner lift of a class: class_from_line on its SL_2 rep and root line."""
+
     def test_examples(self):
-        assert heegner_lift(QuadForm(1, 1, 6), P2, 3).as_tuple() == (6, -1, 1)
-        assert heegner_lift(QuadForm(1, 0, 1), P2, 2).as_tuple() == (2, 2, 1)
+        assert class_from_line(QuadForm(1, 1, 6), (0, 1), P2).as_tuple() == (6, -1, 1)
+        assert class_from_line(QuadForm(1, 0, 1), (1, 1), P2).as_tuple() == (2, 2, 1)
 
     def test_round_trip_to_sl2_class(self):
+        # every class of every level and admissible d < 80, p | d included
+        checked = 0
         for p in SUPPORTED_LEVELS:
             level = PrimeLevel(p)
             for d in range(1, 80):
-                if not is_admissible(d, level) or d % p == 0:
+                if not is_admissible(d, level):
                     continue
-                for rep in class_reps(d):
-                    for beta in sqrt_classes(d, level):
-                        F = heegner_lift(rep, level, beta)
-                        assert F.a % p == 0
-                        assert F.b % (2 * p) == beta
-                        assert reduce_sl2(F)[0] == rep
+                for c in enumerate_classes(level, d):
+                    F = class_from_line(c.sl2_rep, c.line, level)
+                    assert F.a % p == 0, (p, d, c.label)
+                    assert F.b % (2 * p) == c.beta, (p, d, c.label)
+                    assert reduce_sl2(F)[0] == c.sl2_rep, (p, d, c.label)
+                    checked += 1
+        assert checked > 500
 
-    def test_rejects_bad_beta(self):
-        with pytest.raises(ValueError):
-            heegner_lift(QuadForm(1, 0, 1), P2, 1)
+    def test_rejects_non_root_line(self):
+        # x^2 + y^2 vanishes mod 2 only on the line (1 : 1)
+        assert root_lines(QuadForm(1, 0, 1), P2) == [(1, 1)]
+        for line in [(0, 1), (1, 0)]:
+            with pytest.raises(ValueError):
+                class_from_line(QuadForm(1, 0, 1), line, P2)
 
 
 class TestOptimizeHeight:
