@@ -20,7 +20,7 @@ from .arith import (
     is_admissible,
     splits,
 )
-from .cm_eval import PrecisionContext, PrecisionFailure
+from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
 from .qforms import InadmissibleDiscriminant, enumerate_classes
 from .traces import (
@@ -44,19 +44,6 @@ EXIT_IO = 4
 def _fail(msg: str, code: int) -> int:
     print(json.dumps({"error": msg}), file=sys.stderr)
     return code
-
-
-def _ctx(args) -> PrecisionContext | None:
-    if args.prec_bits is None and args.terms is None and args.tol is None:
-        return None
-    kw = {}
-    if args.prec_bits is not None:
-        kw["bits"] = args.prec_bits
-    if args.terms is not None:
-        kw["terms"] = args.terms
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    return PrecisionContext(**kw)
 
 
 def _emit(obj: dict, fmt: str, rows: list[dict] | None = None, out: str | None = None):
@@ -122,7 +109,7 @@ def cmd_classes(args) -> int:
 def cmd_trace(args) -> int:
     level = PrimeLevel(args.p)
     cache = TraceCache(args.cache)
-    rec = trace(level, args.D, args.d, ctx0=_ctx(args), method=args.method, cache=cache)
+    rec = trace(level, args.D, args.d, method=args.method, cache=cache)
     obj = {
         "p": rec.p,
         "D": rec.D,
@@ -145,7 +132,7 @@ def cmd_trace_table(args) -> int:
     for d in range(1, args.dmax + 1):
         if not is_admissible(d, level):
             continue
-        rec = trace(level, 1, d, ctx0=_ctx(args), cache=cache)
+        rec = trace(level, 1, d, cache=cache)
         classes = take_classes(level, d)
         rows.append(
             {
@@ -163,7 +150,6 @@ def cmd_trace_table(args) -> int:
 
 def cmd_verify(args) -> int:
     level = PrimeLevel(args.p)
-    ctx0 = _ctx(args)
     reports = []
     if args.kind == "congruence":
         ds = [args.d] if args.d else [
@@ -172,19 +158,17 @@ def cmd_verify(args) -> int:
             if is_admissible(d, level) and d % args.ell and splits(args.ell, d)
         ]
         for d in sorted(ds):
-            reports.append(verify_congruence(level, args.ell, d, args.n, ctx0=ctx0))
+            reports.append(verify_congruence(level, args.ell, d, args.n))
     elif args.kind == "recurrence":
         ds = [args.d] if args.d else [
             d for d in range(1, args.dmax + 1) if is_admissible(d, level)
         ]
         for d in sorted(ds):
-            reports.append(verify_recurrence(level, args.ell, args.D, d, args.n, ctx0=ctx0))
+            reports.append(verify_recurrence(level, args.ell, args.D, d, args.n))
     else:
         D_list = [m * m for m in range(1, args.Dmax + 1) if m * m <= args.Dmax]
         d_list = [d for d in range(1, args.dmax + 1) if is_admissible(d, level)]
-        reports.append(
-            verify_coeff_identities(level, args.ell, D_list, d_list, ctx0=ctx0)
-        )
+        reports.append(verify_coeff_identities(level, args.ell, D_list, d_list))
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}
     _emit(obj, args.format, out=args.out)
@@ -197,7 +181,7 @@ def cmd_cache(args) -> int:
         _emit(cache.stats(), args.format)
         return EXIT_OK
     report = cache.verify()
-    _emit(report, "json" if args.format == "csv" else args.format)
+    _emit(report, args.format)
     return EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED
 
 
@@ -207,9 +191,6 @@ def cmd_cache(args) -> int:
 
 def _add_common(sp, formats=("text", "json", "csv"), cache_help=None):
     sp.add_argument("--format", choices=formats, default="text")
-    sp.add_argument("--prec-bits", type=int, default=None)
-    sp.add_argument("--terms", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--cache", default="./traces-cache.jsonl", help=cache_help)
 
 
@@ -265,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cache", help="inspect or verify the trace cache")
     sp.add_argument("action", choices=("stats", "verify"))
-    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sp.add_argument("--cache", default="./traces-cache.jsonl")
+    _add_common(sp, formats=("text", "json"))
     sp.set_defaults(func=cmd_cache)
 
     return ap

@@ -3,9 +3,9 @@
 The evaluation kernel works on W-bit fixed-point complex numbers: a pair
 (re, im) of Python ints stands for (re + i im) 2^-W, with
 W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  mpmath
-appears only at the boundaries: q and q^-1 enter once per CM point
-(`cm_point_q`, from mpmath.libmp), and a class sum leaves as one mpf
-(`from_fixed`) for `round_to_integer`.
+appears only where q and q^-1 enter, once per CM point (`cm_point_q`, from
+mpmath.libmp); no mpf leaves the kernel.  A class sum leaves as an exact
+rational, which `round_to_integer` rounds with no further error.
 
 Error model, absolute, for one class value P_D(j(alpha)):
 - the Horner sum over c_v, ..., c_terms is off by at most (terms - v + 1) 2^-W,
@@ -19,7 +19,7 @@ _GUARD_BITS, so the error stays near 2^-(_GUARD_BITS + FIXED_GUARD_BITS)
 times D (terms + 1).
 
 Correctness rests on an a-posteriori certificate: each sum must round to an
-integer within a tolerance, and escalation (doubling mantissa bits and series
+integer within TOL, and escalation (doubling mantissa bits and series
 terms) must leave the rounded integer unchanged.  Tail planning uses the
 heuristic coefficient envelope |c_n| <= e^{4 pi sqrt(n/p)}; the certificate,
 not the envelope, is the correctness gate.
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
-import mpmath
 from mpmath.libmp import (
     fone,
     from_int,
@@ -52,6 +52,7 @@ _GUARD_BITS = 96
 _MIN_BITS = 128
 FIXED_GUARD_BITS = 32
 MAX_RETRIES = 4  # escalations round_to_integer tries before giving up
+TOL = 1e-6  # largest rounding residual round_to_integer accepts
 
 Fixed = tuple[int, int]  # (re, im): the complex number (re + i im) 2^-W
 
@@ -66,13 +67,10 @@ class PrecisionContext:
 
     bits: int = _MIN_BITS
     terms: int = 64
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.bits < 64:
             raise ValueError("need at least 64 mantissa bits")
-        if not (0 < self.tol < 0.5):
-            raise ValueError("tolerance must lie in (0, 0.5)")
 
     def escalate(self) -> "PrecisionContext":
         return replace(self, bits=2 * self.bits, terms=2 * self.terms)
@@ -91,13 +89,6 @@ class RoundedValue:
 def fixed_width(bits: int) -> int:
     """The fixed-point width W used for a precision plan of `bits` bits."""
     return bits + FIXED_GUARD_BITS
-
-
-def from_fixed(n: int, bits: int, den: int = 1) -> mpmath.mpf:
-    """The mpf n * 2^-W / den, rounded once to W bits."""
-    W = fixed_width(bits)
-    with mpmath.workprec(W):
-        return mpmath.mpf(from_rational(n, den << W, W, "n"))
 
 
 def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
@@ -190,27 +181,28 @@ def plan_precision(
 
 
 def round_to_integer(
-    x,
+    x: Fraction,
     ctx: PrecisionContext,
-    recompute: Callable[[PrecisionContext], "mpmath.mpf"] | None = None,
+    recompute: Callable[[PrecisionContext], Fraction] | None = None,
 ) -> RoundedValue:
-    """Nearest integer with residual certificate; escalates precision on failure.
+    """Nearest integer to the exact rational x, certified by its residual.
 
-    `recompute`, when given, is called with the escalated context and must
-    return a fresh value of the same quantity.  Exhausting MAX_RETRIES raises
-    PrecisionFailure: that signals a bug or an inadequate model, never a value
-    to be silently rounded.
+    The residual |x - n| is computed exactly and rounded once to a float; a
+    residual above TOL escalates precision.  `recompute`, when given, is
+    called with the escalated context and must return a fresh value of the
+    same quantity.  Exhausting MAX_RETRIES raises PrecisionFailure: that
+    signals a bug or an inadequate model, never a value to be silently
+    rounded.
     """
     attempts = 0
     while True:
-        with mpmath.workprec(ctx.bits):
-            n = int(mpmath.nint(x))
-            residual = float(abs(x - n))
-        if residual <= ctx.tol:
+        n = round(x)
+        residual = float(abs(x - n))
+        if residual <= TOL:
             return RoundedValue(n, residual, ctx.bits, ctx.terms)
         if recompute is None or attempts >= MAX_RETRIES:
             raise PrecisionFailure(
-                f"residual {residual} above tolerance {ctx.tol} after "
+                f"residual {residual} above tolerance {TOL} after "
                 f"{attempts} escalations (bits={ctx.bits}, terms={ctx.terms})"
             )
         ctx = ctx.escalate()

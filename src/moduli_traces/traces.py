@@ -18,9 +18,8 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
-
-import mpmath
 
 from .arith import (
     PrimeLevel,
@@ -37,7 +36,6 @@ from .cm_eval import (
     PrecisionContext,
     cm_point_q,
     fixed_width,
-    from_fixed,
     horner_in_q,
     horner_poly,
     plan_precision,
@@ -72,7 +70,7 @@ class TraceRecord:
     terms: int
     method: str
     heights: tuple[float, ...] = ()
-    residual: float = 0.0
+    residual: float | None = None  # None when not measured here: a cache hit
     cached: bool = False
 
 
@@ -216,11 +214,11 @@ def trace(
         mult = 1 if (2 * cl.beta) % two_p == 0 else 2
         weighted.append((cl.eval_form, 6 * mult // cl.omega))
 
-    def compute(c: PrecisionContext) -> mpmath.mpf:
+    def compute(c: PrecisionContext) -> Fraction:
         total = 0
         for form, w in weighted:
             total += w * horner_poly(poly, st.cm_value(form, c), c.bits)[0]
-        return from_fixed(total, c.bits, 12)
+        return Fraction(total, 12 << fixed_width(c.bits))
 
     rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
     heights = tuple(
@@ -245,7 +243,7 @@ def trace(
     return rec
 
 
-def b_coeff(p, D: int, d: int, ctx0: PrecisionContext | None = None) -> int:
+def b_coeff(p, D: int, d: int) -> int:
     """B(D, d) for a perfect square D = m^2, via Moebius inversion of traces.
 
     The divisor-sum relation t_m(d) = -sum_{n | m} n B(n^2, d) inverts to
@@ -261,7 +259,7 @@ def b_coeff(p, D: int, d: int, ctx0: PrecisionContext | None = None) -> int:
     for n in divisors(m):
         mu = moebius(m // n)
         if mu:
-            acc += mu * trace(level, n, d, ctx0=ctx0).value
+            acc += mu * trace(level, n, d).value
     if acc % m:
         raise ArithmeticError(
             f"trace combination for B({D}, {d}) at p={level.p} is not divisible "
@@ -270,9 +268,9 @@ def b_coeff(p, D: int, d: int, ctx0: PrecisionContext | None = None) -> int:
     return -(acc // m)
 
 
-def a_coeff(p, D: int, d: int, ctx0: PrecisionContext | None = None) -> int:
+def a_coeff(p, D: int, d: int) -> int:
     """A(D, d) = -B(D, d): the dual weight-1/2 coefficient."""
-    return -b_coeff(p, D, d, ctx0=ctx0)
+    return -b_coeff(p, D, d)
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +355,30 @@ def _check_verifier_args(level: PrimeLevel, ell: int):
         raise HypothesisViolation("ell-equals-p", f"ell=p={ell}")
 
 
-def _b_or_zero(level: PrimeLevel, D, d, ctx0) -> int:
+def _b_or_zero(level: PrimeLevel, D, d) -> int:
     """B(D, d) extended by convention to 0 at non-integer indices."""
     if D is None or d is None:
         return 0
-    return b_coeff(level, D, d, ctx0=ctx0)
+    return b_coeff(level, D, d)
 
 
 def _div_exact(n: int, m: int) -> int | None:
     return n // m if n % m == 0 else None
 
 
-def verify_coeff_identities(
-    p, ell: int, D_list: list[int], d_list: list[int], ctx0: PrecisionContext | None = None
-) -> dict:
+def _closed_and_step(B, ell: int, D: int, d: int) -> tuple[int, int]:
+    """The closed form at (D, d) and the index-raising step's right side.
+
+    closed = ell B(ell^2 D, d) + (D/ell) B(D, d) + B(D/ell^2, d), and the step
+    identity predicts B(D, ell^2 d) = closed - ell B(D, d/ell^2) - (-d/ell) B(D, d).
+    """
+    ell2 = ell * ell
+    closed = ell * B(ell2 * D, d) + kronecker(D, ell) * B(D, d) + B(_div_exact(D, ell2), d)
+    step = closed - ell * B(D, _div_exact(d, ell2)) - kronecker(-d, ell) * B(D, d)
+    return closed, step
+
+
+def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -> dict:
     """Check B_ell(D,d) both ways, plus the index-raising step identity.
 
     Route (i) applies the weight-3/2 Hecke operator to the B-coefficient
@@ -389,7 +397,7 @@ def verify_coeff_identities(
         for d in d_list:
             if not is_admissible(d, level):
                 raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
-            B = lambda DD, dd: _b_or_zero(level, DD, dd, ctx0)
+            B = lambda DD, dd: _b_or_zero(level, DD, dd)
             # route (i): Hecke action on the coefficient table, read at q^d
             idx = {d, ell2 * d}
             down = _div_exact(d, ell2)
@@ -399,19 +407,10 @@ def verify_coeff_identities(
                 1, level, ell2 * d, {n: B(D, n) for n in idx if B(D, n)}
             )
             hecke_side = hecke_apply(table, ell).get(d)
-            # route (ii): the three-term closed form
-            closed = (
-                ell * B(ell2 * D, d)
-                + kronecker(D, ell) * B(D, d)
-                + B(_div_exact(D, ell2), d)
-            )
-            # step identity: B(D, ell^2 d) from data at d
+            # route (ii), the three-term closed form, and the step identity:
+            # B(D, ell^2 d) from data at d
+            closed, rhs_step = _closed_and_step(B, ell, D, d)
             lhs_step = B(D, ell2 * d)
-            rhs_step = (
-                closed
-                - ell * B(D, _div_exact(d, ell2))
-                - kronecker(-d, ell) * B(D, d)
-            )
             checks.append(
                 {
                     "D": D,
@@ -428,9 +427,7 @@ def verify_coeff_identities(
     return {"kind": "coeff-identities", "p": level.p, "ell": ell, "ok": ok, "checks": checks}
 
 
-def verify_recurrence(
-    p, ell: int, D: int, d: int, n: int, ctx0: PrecisionContext | None = None
-) -> dict:
+def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     """Check the n-step coefficient recurrence for B(D, ell^{2n} d) term by term.
 
     For n = 1 the formula specializes exactly to the single-step identity
@@ -446,7 +443,7 @@ def verify_recurrence(
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
     ell2 = ell * ell
-    B = lambda DD, dd: _b_or_zero(level, DD, dd, ctx0)
+    B = lambda DD, dd: _b_or_zero(level, DD, dd)
     kD = kronecker(D, ell)
     kd = kronecker(-d, ell)
 
@@ -460,21 +457,8 @@ def verify_recurrence(
         )
         rhs += w * (kD - kd) * ell**t * B(ell ** (2 * t) * D, d)
 
-    def single_step(DD: int, dd: int) -> int:
-        # one index-raising step: B(DD, ell^2 dd) from data at dd
-        return (
-            ell * B(ell2 * DD, dd)
-            + kronecker(DD, ell) * B(DD, dd)
-            + B(_div_exact(DD, ell2), dd)
-            - ell * B(DD, _div_exact(dd, ell2))
-            - kronecker(-dd, ell) * B(DD, dd)
-        )
-
-    cross = None
-    if n == 1:
-        cross = single_step(D, d)
-    elif n == 2:
-        cross = single_step(D, ell2 * d)
+    # n = 1: the single step at d; n = 2: the single step at ell^2 d
+    cross = _closed_and_step(B, ell, D, ell2 ** (n - 1) * d)[1] if n <= 2 else None
     report = {
         "kind": "recurrence",
         "p": level.p,
@@ -493,20 +477,11 @@ def verify_recurrence(
     return report
 
 
-def verify_congruence(
-    p,
-    ell: int,
-    d: int,
-    n: int,
-    ctx0: PrecisionContext | None = None,
-    empirical: bool = False,
-) -> dict:
+def verify_congruence(p, ell: int, d: int, n: int) -> dict:
     """Check ell^n | t^{(p)}(ell^{2n} d) under the splitting hypothesis.
 
-    When the hypothesis holds, ell does not divide d, and the stronger exact
+    The hypothesis implies that ell does not divide d, so the stronger exact
     identity t^{(p)}(ell^{2n} d) = -ell^n B(ell^{2n}, d) is checked as well.
-    With empirical=True the splitting gate is skipped and only the congruence
-    is tested, reported as empirical.
     """
     level = _as_level(p)
     _check_verifier_args(level, ell)
@@ -514,11 +489,13 @@ def verify_congruence(
         raise ValueError("n must be >= 1")
     if not is_admissible(d, level):
         raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
-    if not empirical and not splits(ell, d):
+    if not splits(ell, d):
         raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
-    big = trace(level, 1, ell ** (2 * n) * d, ctx0=ctx0)
+    big = trace(level, 1, ell ** (2 * n) * d)
     cong_ok = big.value % ell**n == 0
-    report = {
+    lift = -b_coeff(level, ell ** (2 * n), d)
+    exact_ok = big.value == ell**n * lift
+    return {
         "kind": "congruence",
         "p": level.p,
         "ell": ell,
@@ -527,16 +504,10 @@ def verify_congruence(
         "trace": str(big.value),
         "modulus": str(ell**n),
         "congruence_ok": cong_ok,
-        "empirical": empirical,
-        "ok": cong_ok,
+        "ok": cong_ok and exact_ok,
+        "lift_value": str(lift),
+        "exact_lift_ok": exact_ok,
     }
-    if d % ell != 0:
-        lift = -b_coeff(level, ell ** (2 * n), d, ctx0=ctx0)
-        exact_ok = big.value == ell**n * lift
-        report["lift_value"] = str(lift)
-        report["exact_lift_ok"] = exact_ok
-        report["ok"] = cong_ok and exact_ok
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 
@@ -104,6 +105,6 @@ def trace_value(p: int, D: int, d: int, ctx0: PrecisionContext | None = None) ->
                 mult = 1 if (2 * cl.beta) % (2 * p) == 0 else 2
                 x = horner_in_q(h.series, cm_point_q(cl.eval_form, c.bits), c.terms, c.bits)
                 total += mpmath.mpf(mult) * horner_poly(poly, x, c.bits).real / cl.omega
-            return total / 2
+            return Fraction(*mpmath.libmp.to_rational((total / 2)._mpf_))
 
     return round_to_integer(compute(ctx), ctx, recompute=compute).value

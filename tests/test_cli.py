@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,7 @@ class TestTrace:
         assert isinstance(obj["trace"], str)  # big ints as decimal strings
         assert obj["cached"] is False
         assert obj["bits"] >= 128
+        assert isinstance(obj["residual"], float) and 0 <= obj["residual"] <= 1e-6
 
     def test_cache_hit_reported(self, tmp_path, capsys):
         cache = str(tmp_path / "c.jsonl")
@@ -64,6 +67,7 @@ class TestTrace:
         assert code == 0
         obj = json.loads(out)
         assert obj["cached"] is True and obj["trace"] == "-26"
+        assert obj["residual"] is None  # the cache stores no residual
 
     def test_brute_method_recomputes_over_cached_gkz(self, tmp_path, capsys):
         cache = tmp_path / "c.jsonl"
@@ -225,6 +229,14 @@ class TestCacheCommand:
         assert code == 0
         assert json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("action", ["stats", "verify"])
+    def test_csv_format_exits_2(self, tmp_path, capsys, action):
+        cache = tmp_path / "c.jsonl"
+        cache.write_text(json.dumps({"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128,
+                                     "terms": 64, "method": "gkz"}) + "\n")
+        code, out, _ = run(capsys, "cache", action, "--format", "csv", "--cache", str(cache))
+        assert code == 2 and out == ""
+
     def test_corrupt_cache_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "c.jsonl"
         bad.write_text("garbage\n")
@@ -241,3 +253,23 @@ class TestArgumentContract:
 
     def test_unknown_verify_kind_exits_2(self, capsys):
         assert run(capsys, "verify", "everything", "--p", "2", "--ell", "3")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--p", "2", "--d", "4", "--prec-bits", "256"),
+        ("trace-table", "--p", "2", "--dmax", "8", "--terms", "99"),
+        ("verify", "congruence", "--p", "2", "--ell", "3", "--tol", "1e-3"),
+    ])
+    def test_precision_overrides_exit_2(self, tmp_path, capsys, argv):
+        # the precision plan and its escalation are the only precision policy
+        code, out, _ = run(capsys, *argv, "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI usage", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        examples = [line for line in block.splitlines() if line.startswith("moduli-traces ")]
+        assert len(examples) >= 9
+        parser = cli.build_parser()
+        for line in examples:
+            parser.parse_args(shlex.split(line)[1:])

@@ -1,5 +1,7 @@
 """Unit tests for high-precision CM evaluation and rounding certificates."""
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -7,6 +9,7 @@ import oracles
 from moduli_traces.arith import PrimeLevel, is_admissible
 from moduli_traces.cm_eval import (
     MAX_RETRIES,
+    TOL,
     PrecisionContext,
     PrecisionFailure,
     cm_point_q,
@@ -39,15 +42,11 @@ class TestContext:
     def test_validation(self):
         with pytest.raises(ValueError):
             PrecisionContext(bits=32)
-        with pytest.raises(ValueError):
-            PrecisionContext(tol=0.7)
-        with pytest.raises(ValueError):
-            PrecisionContext(tol=0.0)
 
     def test_escalate_doubles(self):
         ctx = PrecisionContext(bits=128, terms=64)
         up = ctx.escalate()
-        assert up.bits == 256 and up.terms == 128 and up.tol == ctx.tol
+        assert up.bits == 256 and up.terms == 128
 
 
 class TestEvalAtCM:
@@ -197,37 +196,37 @@ class TestPlanPrecision:
 
 class TestRoundToInteger:
     def test_near_integer(self):
-        ctx = PrecisionContext(bits=128, tol=1e-6)
-        with mpmath.workprec(128):
-            rv = round_to_integer(mpmath.mpf("42.0000000001"), ctx)
+        assert TOL == 1e-6  # the integrality gate never gets looser
+        ctx = PrecisionContext(bits=128)
+        rv = round_to_integer(Fraction("42.0000000001"), ctx)
         assert rv.value == 42 and rv.residual < 1e-9
 
     def test_half_integer_fails(self):
-        ctx = PrecisionContext(bits=128, tol=1e-6)
+        ctx = PrecisionContext(bits=128)
         with pytest.raises(PrecisionFailure):
-            round_to_integer(mpmath.mpf("41.5"), ctx)
+            round_to_integer(Fraction("41.5"), ctx)
 
     def test_escalation_path(self):
         # the recompute thunk converges to an integer once bits double
-        ctx = PrecisionContext(bits=128, terms=8, tol=1e-6)
+        ctx = PrecisionContext(bits=128, terms=8)
         calls = []
 
         def recompute(c):
             calls.append((c.bits, c.terms))
-            return mpmath.mpf(7) + mpmath.mpf(2) ** (-c.terms)
+            return 7 + Fraction(1, 2**c.terms)
 
-        rv = round_to_integer(mpmath.mpf("7.01"), ctx, recompute=recompute)
+        rv = round_to_integer(Fraction("7.01"), ctx, recompute=recompute)
         assert rv.value == 7
         assert calls and calls[0] == (256, 16)
 
     def test_retry_budget_exhausted(self):
-        ctx = PrecisionContext(bits=128, tol=1e-6)
+        ctx = PrecisionContext(bits=128)
         calls = []
 
         def stuck(c):
             calls.append(c.bits)
-            return mpmath.mpf("0.5")
+            return Fraction(1, 2)
 
         with pytest.raises(PrecisionFailure):
-            round_to_integer(mpmath.mpf("0.5"), ctx, recompute=stuck)
+            round_to_integer(Fraction(1, 2), ctx, recompute=stuck)
         assert MAX_RETRIES == 4 and calls == [256, 512, 1024, 2048]

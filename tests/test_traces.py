@@ -308,12 +308,6 @@ class TestVerifyCongruence:
             verify_congruence(P2, 3, 7, 1)
         assert exc.value.reason == "non-split"
 
-    def test_empirical_mode_skips_gate_and_lift(self):
-        # ell | d: only the congruence is tested, flagged empirical
-        rep = verify_congruence(PrimeLevel(7), 3, 3, 1, empirical=True)
-        assert rep["ok"] and rep["empirical"]
-        assert "exact_lift_ok" not in rep
-
     def test_inadmissible_gate(self):
         with pytest.raises(HypothesisViolation) as exc:
             verify_congruence(P2, 3, 5, 1)
@@ -342,6 +336,7 @@ class TestTraceCache:
         TraceCache(path).put(trace(P2, 1, 4))
         fresh = TraceCache(path)
         assert fresh.get(2, 1, 4).cached is True
+        assert fresh.get(2, 1, 4).residual is None  # not stored, not measured
 
     def test_conflicting_put_aborts(self, tmp_path):
         path = tmp_path / "c.jsonl"
