@@ -90,7 +90,7 @@ def cmd_hauptmodul(args) -> int:
 
 def cmd_classes(args) -> int:
     level = PrimeLevel(args.p)
-    classes = enumerate_classes(level, args.d, method=args.method)
+    classes = enumerate_classes(level, args.d)
     rows = [
         {
             "sl2_rep": str(c.sl2_rep.as_tuple()),
@@ -109,7 +109,7 @@ def cmd_classes(args) -> int:
 def cmd_trace(args) -> int:
     level = PrimeLevel(args.p)
     cache = TraceCache(args.cache)
-    rec = trace(level, args.D, args.d, method=args.method, cache=cache)
+    rec = trace(level, args.D, args.d, cache=cache)
     obj = {
         "p": rec.p,
         "D": rec.D,
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classes", help="list Heegner classes for (p, d)")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--method", choices=("gkz", "brute"), default="gkz")
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sp.set_defaults(func=cmd_classes)
 
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--D", type=int, default=1)
-    sp.add_argument("--method", choices=("gkz", "brute"), default="gkz")
     _add_common(sp)
     sp.set_defaults(func=cmd_trace)
 

@@ -18,11 +18,11 @@ Error model, absolute, for one class value P_D(j(alpha)):
 _GUARD_BITS, so the error stays near 2^-(_GUARD_BITS + FIXED_GUARD_BITS)
 times D (terms + 1).
 
-Correctness rests on an a-posteriori certificate: each sum must round to an
-integer within TOL, and escalation (doubling mantissa bits and series
-terms) must leave the rounded integer unchanged.  Tail planning uses the
-heuristic coefficient envelope |c_n| <= e^{4 pi sqrt(n/p)}; the certificate,
-not the envelope, is the correctness gate.
+Correctness rests on an a-posteriori certificate: a sum counts once it lies
+within TOL of an integer; one that does not is recomputed with doubled bits
+and terms, up to MAX_RETRIES times, and no two plans are compared.  Tail
+planning uses the heuristic coefficient envelope |c_n| <= e^{4 pi sqrt(n/p)};
+the certificate, not the envelope, is the correctness gate.
 """
 
 from __future__ import annotations

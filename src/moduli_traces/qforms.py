@@ -372,38 +372,30 @@ def enumerate_classes(p: PrimeLevel, d: int, method: str = "gkz") -> list[Heegne
     """
     if not is_admissible(d, p):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={p.p}")
-    classes = []
     if method == "gkz":
-        for rep in class_reps(d):
-            for line, omega in _line_orbits(rep, p):
-                F = class_from_line(rep, line, p)
-                ev = optimize_height(F, p)
-                classes.append(
-                    HeegnerClass(
-                        p=p,
-                        d=d,
-                        beta=F.b % (2 * p.p),
-                        sl2_rep=rep,
-                        line=line,
-                        eval_form=ev,
-                        omega=omega,
-                    )
-                )
+        labels = [
+            (rep, line, omega, class_from_line(rep, line, p))
+            for rep in class_reps(d)
+            for line, omega in _line_orbits(rep, p)
+        ]
     elif method == "brute":
-        for rep_t, line, omega, witness in brute_force_labels(p, d):
-            ev = optimize_height(witness, p)
-            classes.append(
-                HeegnerClass(
-                    p=p,
-                    d=d,
-                    beta=witness.b % (2 * p.p),
-                    sl2_rep=QuadForm(*rep_t),
-                    line=line,
-                    eval_form=ev,
-                    omega=omega,
-                )
-            )
+        labels = [
+            (QuadForm(*rep_t), line, omega, form)
+            for rep_t, line, omega, form in brute_force_labels(p, d)
+        ]
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
+    classes = [
+        HeegnerClass(
+            p=p,
+            d=d,
+            beta=form.b % (2 * p.p),
+            sl2_rep=rep,
+            line=line,
+            eval_form=optimize_height(form, p),
+            omega=omega,
+        )
+        for rep, line, omega, form in labels
+    ]
     classes.sort(key=lambda h: (h.beta, h.sl2_rep.as_tuple(), h.line))
     return classes

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -140,16 +141,16 @@ def _state(level: PrimeLevel) -> _LevelState:
         return _STATES[level.p]
 
 
-def take_classes(p, d: int, method: str = "gkz") -> list[HeegnerClass]:
-    """The classes of (d, method), removed from the per-level cache.
+def take_classes(p, d: int) -> list[HeegnerClass]:
+    """The GKZ classes of d, removed from the per-level cache.
 
     For callers that visit each d once, such as a trace table: the classes
     trace() enumerated are reused, not enumerated again, and then released.
     """
     st = _state(_as_level(p))
     with st.lock:
-        classes = st.classes(d, method)
-        del st.classes_cache[(d, method)]
+        classes = st.classes(d, "gkz")
+        del st.classes_cache[(d, "gkz")]
         return classes
 
 
@@ -192,10 +193,8 @@ def trace(
             if key in st.trace_cache:
                 return st.trace_cache[key]
     if cache is not None:
-        # a hit for another method is no cross-check: compute, and let put()
-        # compare the fresh value with the stored one
         hit = cache.get(level.p, D, d)
-        if hit is not None and hit.method == method:
+        if hit is not None:
             return hit
 
     classes = st.classes(d, method)
@@ -403,9 +402,7 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
             down = _div_exact(d, ell2)
             if down is not None:
                 idx.add(down)
-            table = CoeffTable(
-                1, level, ell2 * d, {n: B(D, n) for n in idx if B(D, n)}
-            )
+            table = CoeffTable(1, level, ell2 * d, {n: b for n in idx if (b := B(D, n))})
             hecke_side = hecke_apply(table, ell).get(d)
             # route (ii), the three-term closed form, and the step identity:
             # B(D, ell^2 d) from data at d
@@ -513,22 +510,28 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # persistent JSONL cache
 
-_CACHE_FIELDS = ("p", "D", "d", "t", "bits", "terms", "method")
-
-
 class TraceCache:
-    """JSON Lines cache keyed by (p, D, d); puts are idempotent, conflicts abort."""
+    """JSON Lines cache keyed by (p, D, d); puts are idempotent, conflicts abort.
+
+    A record counts once its newline is written: an unterminated last line, left
+    by a writer killed mid-line, is skipped on load and cut by the next put.
+    """
 
     def __init__(self, path):
         self.path = Path(path)
         self._mem: dict[tuple[int, int, int], TraceRecord] = {}
         self._lock = threading.Lock()
+        self._torn_at: int | None = None  # byte offset of an unterminated last line
         if self.path.exists():
             self._load()
 
     def _load(self):
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):  # only the last line can lack one
+                    self._torn_at = self.path.stat().st_size - len(line.encode())
+                    warnings.warn(f"{self.path}:{lineno}: skipping unterminated last line")
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -583,6 +586,9 @@ class TraceCache:
                 }
             )
             with self.path.open("a") as fh:
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                    self._torn_at = None
                 fh.write(line + "\n")
             self._mem[key] = rec
 

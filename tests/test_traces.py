@@ -3,6 +3,7 @@ and the persistent cache."""
 
 import json
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -353,6 +354,26 @@ class TestTraceCache:
         with pytest.raises(CacheIntegrityError) as exc:
             TraceCache(path)
         assert ":2:" in str(exc.value)
+
+    def test_torn_last_line_is_skipped_then_removed(self, tmp_path):
+        # a writer killed mid-line leaves an unterminated last line
+        path = tmp_path / "c.jsonl"
+        cache = TraceCache(path)
+        for d in (4, 7):
+            cache.put(trace(P2, 1, d))
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.warns(UserWarning, match=r"c\.jsonl:2: skipping unterminated") as rec:
+            torn = TraceCache(path)
+        assert len(rec) == 1
+        assert torn.stats()["records"] == 1 and torn.get(2, 1, 4).value == -26
+        torn.put(trace(P2, 1, 7))
+        torn.put(trace(P2, 1, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = TraceCache(path)
+        assert reloaded.stats()["records"] == 3
+        assert path.read_text().endswith("\n")
+        assert len(path.read_text().splitlines()) == 3
 
     def test_conflicting_lines_abort_on_load(self, tmp_path):
         path = tmp_path / "c.jsonl"
