@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 # Levels with a single-eta-quotient Hauptmodul: primes p with (p-1) | 24.
 SUPPORTED_LEVELS = (2, 3, 5, 7, 13)
@@ -24,12 +26,14 @@ class PrimeLevel:
 
     eta_exponent is 24/(p-1), the exponent in f_p = (eta(t)/eta(pt))^exp;
     fricke_const is p^(12/(p-1)), the constant of the Fricke relation
-    f_p(-1/(pt)) = fricke_const / f_p(t).
+    f_p(-1/(pt)) = fricke_const / f_p(t).  square_roots maps each square r
+    mod 4p to the frozenset of beta mod 2p with beta^2 = r (mod 4p).
     """
 
     p: int
     eta_exponent: int = field(init=False)
     fricke_const: int = field(init=False)
+    square_roots: Mapping[int, frozenset[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p not in SUPPORTED_LEVELS:
@@ -40,6 +44,12 @@ class PrimeLevel:
             )
         object.__setattr__(self, "eta_exponent", 24 // (self.p - 1))
         object.__setattr__(self, "fricke_const", self.p ** (12 // (self.p - 1)))
+        roots: dict[int, set[int]] = {}
+        for b in range(2 * self.p):  # (b + 2p)^2 = b^2 (mod 4p)
+            roots.setdefault(b * b % (4 * self.p), set()).add(b)
+        object.__setattr__(
+            self, "square_roots", MappingProxyType({r: frozenset(bs) for r, bs in roots.items()})
+        )
 
 
 def is_small_prime(n: int) -> bool:
@@ -97,25 +107,16 @@ def kronecker(a: int, n: int) -> int:
 def sqrt_classes(d: int, p: PrimeLevel) -> frozenset[int]:
     """All residues beta mod 2p with beta^2 = -d (mod 4p).
 
-    Empty iff d is not admissible for level p.  The 2p residues are scanned
-    exhaustively; p <= 13 makes this free.
+    Empty iff d is not admissible for level p.
     """
     if d < 1:
         return frozenset()
-    m = 4 * p.p
-    target = (-d) % m
-    return frozenset(b for b in range(2 * p.p) if (b * b) % m == target)
+    return p.square_roots.get(-d % (4 * p.p), frozenset())
 
 
 def is_admissible(d: int, p: PrimeLevel) -> bool:
     """True iff d >= 1 and -d is a square mod 4p."""
-    return d >= 1 and bool(sqrt_classes(d, p))
-
-
-def is_square_mod(n: int, m: int) -> bool:
-    """True iff n is a square modulo m (exhaustive scan; m is tiny here)."""
-    n %= m
-    return any((b * b) % m == n for b in range(m))
+    return d >= 1 and -d % (4 * p.p) in p.square_roots
 
 
 def divisors(n: int) -> list[int]:

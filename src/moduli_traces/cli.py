@@ -13,20 +13,16 @@ import csv
 import io
 import json
 import sys
+import warnings
 
-from .arith import (
-    PrimeLevel,
-    UnsupportedLevel,
-    is_admissible,
-    splits,
-)
+from .arith import PrimeLevel, is_admissible, splits
 from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
-from .qforms import InadmissibleDiscriminant, enumerate_classes
+from .qforms import enumerate_classes
 from .traces import (
     CacheIntegrityError,
-    HypothesisViolation,
     TraceCache,
+    check_ell,
     take_classes,
     trace,
     verify_coeff_identities,
@@ -44,6 +40,10 @@ EXIT_IO = 4
 def _fail(msg: str, code: int) -> int:
     print(json.dumps({"error": msg}), file=sys.stderr)
     return code
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(json.dumps({"warning": str(message)}), file=sys.stderr)
 
 
 def _emit(obj: dict, fmt: str, rows: list[dict] | None = None, out: str | None = None):
@@ -150,12 +150,13 @@ def cmd_trace_table(args) -> int:
 
 def cmd_verify(args) -> int:
     level = PrimeLevel(args.p)
+    check_ell(level, args.ell)
+    if args.kind != "coeff-identities" and args.n < 1:
+        return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
     reports = []
     if args.kind == "congruence":
         ds = [args.d] if args.d else [
-            d
-            for d in range(1, args.dmax + 1)
-            if is_admissible(d, level) and d % args.ell and splits(args.ell, d)
+            d for d in range(1, args.dmax + 1) if is_admissible(d, level) and splits(args.ell, d)
         ]
         for d in sorted(ds):
             reports.append(verify_congruence(level, args.ell, d, args.n))
@@ -257,21 +258,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the invalid-input contract
         return int(exc.code or 0) and EXIT_BAD_INPUT
-    try:
-        return args.func(args)
-    except (
-        UnsupportedLevel,
-        InadmissibleDiscriminant,
-        HypothesisViolation,
-        ValueError,
-    ) as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
-    except PrecisionFailure as exc:
-        return _fail(str(exc), EXIT_PRECISION)
-    except CacheIntegrityError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning  # one JSON object per stderr line
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_BAD_INPUT)
+        except PrecisionFailure as exc:
+            return _fail(str(exc), EXIT_PRECISION)
+        except (CacheIntegrityError, OSError) as exc:
+            return _fail(str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

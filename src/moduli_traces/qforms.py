@@ -187,24 +187,13 @@ def _short_vector_improvement(F: QuadForm, p: int) -> tuple[int, int] | None:
 
 def _complete_gamma0(x: int, py: int) -> tuple[int, int, int, int]:
     """Complete the primitive column (x, py) to a determinant-1 matrix."""
-    g, w, u = _xgcd(x, py)
+    g = math.gcd(x, py)
     if g != 1:
         raise ValueError(f"column ({x}, {py}) is not primitive: gcd is {g}")
-    return (x, -u, py, w)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    if py == 0:  # then x = +-1
+        return (x, 0, 0, x)
+    w = pow(x, -1, py)
+    return (x, (x * w - 1) // py, py, w)
 
 
 def optimize_height(F: QuadForm, p: PrimeLevel) -> QuadForm:

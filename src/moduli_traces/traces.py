@@ -27,7 +27,6 @@ from .arith import (
     divisors,
     is_admissible,
     is_small_prime,
-    is_square_mod,
     kronecker,
     moebius,
     splits,
@@ -190,8 +189,11 @@ def trace(
     key = (D, d, method)
     if memo and ctx0 is None:
         with st.lock:
-            if key in st.trace_cache:
-                return st.trace_cache[key]
+            rec = st.trace_cache.get(key)
+        if rec is not None:
+            if cache is not None:
+                cache.put(rec)  # memo records are computed here, never cache hits
+            return rec
     if cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
@@ -278,7 +280,7 @@ def a_coeff(p, D: int, d: int) -> int:
 
 def plus_condition(k: int, p: PrimeLevel, n: int) -> bool:
     """Kohnen plus condition for weight k + 1/2: (-1)^k n is a square mod 4p."""
-    return is_square_mod(n if k % 2 == 0 else -n, 4 * p.p)
+    return (n if k % 2 == 0 else -n) % (4 * p.p) in p.square_roots
 
 
 @dataclass
@@ -313,12 +315,7 @@ def hecke_apply(t: CoeffTable, ell: int) -> CoeffTable:
     with a(n/ell^2) := 0 when ell^2 does not divide n.  Output window is
     floor(n_max / ell^2).
     """
-    if ell % 2 == 0:
-        raise ValueError("ell must be odd")
-    if not is_small_prime(ell):
-        raise ValueError(f"ell={ell} is not prime")
-    if ell == t.p.p:
-        raise ValueError("ell must differ from the level p")
+    check_ell(t.p, ell)
     ell2 = ell * ell
     out_max = t.n_max // ell2
     if out_max < 1:
@@ -345,11 +342,12 @@ def hecke_apply(t: CoeffTable, ell: int) -> CoeffTable:
 # identity verifiers
 
 
-def _check_verifier_args(level: PrimeLevel, ell: int):
+def check_ell(level: PrimeLevel, ell: int):
+    """Raise HypothesisViolation unless ell is an odd prime other than p."""
     if ell % 2 == 0:
-        raise HypothesisViolation("ell-even", f"ell={ell}")
+        raise HypothesisViolation("ell-even", f"ell={ell}, need an odd prime")
     if not is_small_prime(ell):
-        raise HypothesisViolation("ell-not-prime", f"ell={ell}")
+        raise HypothesisViolation("ell-not-prime", f"ell={ell}, need an odd prime")
     if ell == level.p:
         raise HypothesisViolation("ell-equals-p", f"ell=p={ell}")
 
@@ -387,12 +385,10 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     "identification or implementation failure" and is reported, not raised.
     """
     level = _as_level(p)
-    _check_verifier_args(level, ell)
+    check_ell(level, ell)
     ell2 = ell * ell
     checks = []
     for D in D_list:
-        if not (D >= 1 and math.isqrt(D) ** 2 == D):
-            raise ValueError(f"D={D} must be a positive perfect square")
         for d in d_list:
             if not is_admissible(d, level):
                 raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
@@ -432,11 +428,9 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     cross-checked against two iterated single-step applications.
     """
     level = _as_level(p)
-    _check_verifier_args(level, ell)
+    check_ell(level, ell)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (D >= 1 and math.isqrt(D) ** 2 == D):
-        raise ValueError(f"D={D} must be a positive perfect square")
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
     ell2 = ell * ell
@@ -481,7 +475,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
     identity t^{(p)}(ell^{2n} d) = -ell^n B(ell^{2n}, d) is checked as well.
     """
     level = _as_level(p)
-    _check_verifier_args(level, ell)
+    check_ell(level, ell)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not is_admissible(d, level):

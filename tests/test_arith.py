@@ -12,12 +12,12 @@ from moduli_traces.arith import (
     divisors,
     is_admissible,
     is_small_prime,
-    is_square_mod,
     kronecker,
     moebius,
     splits,
     sqrt_classes,
 )
+from moduli_traces.traces import plus_condition
 
 
 class TestPrimeLevel:
@@ -97,6 +97,17 @@ class TestSqrtClasses:
                 for beta in betas:
                     assert (2 * p - beta) % (2 * p) in betas
 
+    @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
+    def test_table_matches_direct_scan(self, p):
+        level, m = PrimeLevel(p), 4 * p
+        for n in range(-8 * p, 8 * p):
+            betas = frozenset(b for b in range(2 * p) if (b * b + n) % m == 0)
+            assert sqrt_classes(n, level) == (betas if n >= 1 else frozenset())
+            assert is_admissible(n, level) == (n >= 1 and bool(betas))
+            for k in (0, 1):
+                square = any((b * b - (-1) ** k * n) % m == 0 for b in range(m))
+                assert plus_condition(k, level, n) == square
+
     def test_defining_congruence(self):
         for p in SUPPORTED_LEVELS:
             level = PrimeLevel(p)
@@ -165,11 +176,12 @@ class TestDivisorsMoebius:
 
 
 class TestMisc:
-    def test_is_square_mod(self):
-        assert is_square_mod(1, 8)
-        assert is_square_mod(4, 8)
-        assert not is_square_mod(3, 8)
-        assert not is_square_mod(-1, 8)  # -1 = 7 mod 8
+    def test_plus_condition_mod_8(self):
+        p2 = PrimeLevel(2)
+        assert plus_condition(0, p2, 1)
+        assert plus_condition(0, p2, 4)
+        assert not plus_condition(0, p2, 3)
+        assert not plus_condition(0, p2, -1)  # -1 = 7 mod 8
 
     def test_is_small_prime(self):
         assert is_small_prime(2)

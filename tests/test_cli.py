@@ -119,6 +119,22 @@ class TestVerify:
         assert code == 2
         assert "odd" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        "congruence --ell 0 --dmax 10",
+        "congruence --ell 1",
+        "congruence --ell 2 --dmax 3",
+        "recurrence --ell 9 --dmax 2",
+        "recurrence --ell 2 --dmax 3",
+        "coeff-identities --ell 0 --dmax 0",
+        "congruence --ell 3 --n 0 --dmax 0",
+        "recurrence --ell 3 --n 0 --dmax 0",
+    ])
+    def test_invalid_ell_or_n_exits_2(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv.split(), "--p", "2",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
+
     def test_csv_format_exits_2(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "congruence", "--p", "2", "--ell", "3",
                            "--dmax", "20", "--format", "csv",
@@ -216,10 +232,12 @@ class TestCacheCommand:
         ))
         cache.write_bytes(cache.read_bytes()[:-20])  # a writer killed mid-line
         reset_state()
-        with pytest.warns(UserWarning, match="c.jsonl:2"):
-            code, out, _ = run(capsys, "trace", "--p", "2", "--d", "8", "--format", "json",
-                               "--cache", str(cache))
+        code, out, err = run(capsys, "trace", "--p", "2", "--d", "8", "--format", "json",
+                             "--cache", str(cache))
         assert code == 0 and json.loads(out)["trace"] == "76"
+        assert json.loads(err) == {
+            "warning": f"{cache}:2: skipping unterminated last line"
+        }
         assert [json.loads(line)["d"] for line in cache.read_text().splitlines()] == [4, 8]
 
     def test_corrupt_cache_exits_4(self, tmp_path, capsys):

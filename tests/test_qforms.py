@@ -178,6 +178,11 @@ class TestOptimizeHeight:
         with pytest.raises(ValueError):
             _complete_gamma0(4, 6)
 
+    @pytest.mark.parametrize("x,py", [(1, 0), (-1, 0), (3, -4), (-3, -4), (-5, 26), (1, -2)])
+    def test_complete_gamma0_keeps_column_with_determinant_1(self, x, py):
+        a, b, c, d = _complete_gamma0(x, py)
+        assert (a, c) == (x, py) and a * d - b * c == 1
+
 
 class TestStabilizersAndLines:
     def test_stabilizer_orders(self):

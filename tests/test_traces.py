@@ -222,12 +222,12 @@ class TestHeckeApply:
 
     def test_contract_violations(self):
         t = CoeffTable(1, P2, 100, {7: 1})
-        with pytest.raises(ValueError):
-            hecke_apply(t, 2)  # even
-        with pytest.raises(ValueError):
-            hecke_apply(t, 9)  # not prime
-        with pytest.raises(ValueError):
-            hecke_apply(CoeffTable(1, P3, 100, {3: 1}), 3)  # ell = p
+        with pytest.raises(HypothesisViolation, match="ell-even"):
+            hecke_apply(t, 2)
+        with pytest.raises(HypothesisViolation, match="ell-not-prime"):
+            hecke_apply(t, 9)
+        with pytest.raises(HypothesisViolation, match="ell-equals-p"):
+            hecke_apply(CoeffTable(1, P3, 100, {3: 1}), 3)
         with pytest.raises(WindowError):
             hecke_apply(CoeffTable(1, P2, 8, {7: 1}), 5)  # window < ell^2
 
@@ -418,3 +418,19 @@ class TestTraceCache:
         assert first.cached is False
         again = trace(P2, 1, 79, cache=TraceCache(path), memo=False)
         assert again.cached is True and again.value == first.value
+
+    def test_memo_hit_is_written_to_the_cache(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = trace(P2, 1, 4)
+        again = trace(P2, 1, 4, cache=TraceCache(path))
+        assert again is first
+        assert TraceCache(path).get(2, 1, 4).value == first.value
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_cache_hit_is_not_written_back(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        TraceCache(path).put(trace(P2, 1, 4))
+        reset_state()
+        cache = TraceCache(path)
+        monkeypatch.setattr(cache, "put", lambda rec: pytest.fail("put of a cache hit"))
+        assert trace(P2, 1, 4, cache=cache).cached is True
