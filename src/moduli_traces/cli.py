@@ -15,15 +15,14 @@ import json
 import sys
 import warnings
 
-from .arith import PrimeLevel, is_admissible, splits
+from .arith import PrimeLevel, is_admissible, splits, sqrt_classes
 from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
-from .qforms import enumerate_classes
+from .qforms import class_labels, enumerate_classes
 from .traces import (
     CacheIntegrityError,
     TraceCache,
     check_ell,
-    take_classes,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -46,14 +45,15 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(json.dumps({"warning": str(message)}), file=sys.stderr)
 
 
-def _emit(obj: dict, fmt: str, rows: list[dict] | None = None, out: str | None = None):
-    """Render obj (text/json) or rows (csv) to stdout or a file."""
+def _emit(obj: dict, fmt: str, rows: list[dict] | None = None, out: str | None = None,
+          fieldnames: list[str] | None = None):
+    """Render obj (text/json) or rows (csv, headed by fieldnames) to stdout or a file."""
     if fmt == "json":
         text = json.dumps(obj, indent=2)
     elif fmt == "csv":
         rows = rows if rows is not None else [obj]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=fieldnames or list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
@@ -132,19 +132,19 @@ def cmd_trace_table(args) -> int:
     for d in range(1, args.dmax + 1):
         if not is_admissible(d, level):
             continue
-        rec = trace(level, 1, d, cache=cache)
-        classes = take_classes(level, d)
+        # each d is visited once, so a memo would only hold memory
+        rec = trace(level, 1, d, cache=cache, memo=False)
         rows.append(
             {
                 "d": d,
-                "beta_count": len({c.beta for c in classes}),
-                "class_count": len(classes),
+                "beta_count": len(sqrt_classes(d, level)),
+                "class_count": len(class_labels(level, d)),
                 "trace": str(rec.value),
             }
         )
     obj = {"p": level.p, "dmax": args.dmax, "rows": rows}
     fmt = args.format if args.format != "text" else "csv"
-    _emit(obj, fmt, rows=rows, out=args.out)
+    _emit(obj, fmt, rows=rows, out=args.out, fieldnames=["d", "beta_count", "class_count", "trace"])
     return EXIT_OK
 
 
@@ -155,13 +155,13 @@ def cmd_verify(args) -> int:
         return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
     reports = []
     if args.kind == "congruence":
-        ds = [args.d] if args.d else [
+        ds = [args.d] if args.d is not None else [
             d for d in range(1, args.dmax + 1) if is_admissible(d, level) and splits(args.ell, d)
         ]
         for d in sorted(ds):
             reports.append(verify_congruence(level, args.ell, d, args.n))
     elif args.kind == "recurrence":
-        ds = [args.d] if args.d else [
+        ds = [args.d] if args.d is not None else [
             d for d in range(1, args.dmax + 1) if is_admissible(d, level)
         ]
         for d in sorted(ds):

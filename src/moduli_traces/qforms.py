@@ -352,28 +352,32 @@ def brute_force_labels(
     ]
 
 
-def enumerate_classes(p: PrimeLevel, d: int, method: str = "gkz") -> list[HeegnerClass]:
-    """One HeegnerClass per Gamma_0(p)-class of Q_{d,p}.
+def class_labels(p: PrimeLevel, d: int, method: str = "gkz") -> list[tuple]:
+    """One (SL_2 rep, line, omega, form with p | a) per Gamma_0(p)-class of Q_{d,p}.
 
-    method="gkz" constructs classes from reduced SL_2 representatives and
+    method="gkz" constructs labels from reduced SL_2 representatives and
     their root-line orbits; method="brute" scans forms directly and partitions
     them by the same invariant, serving as an independent cross-check.
     """
     if not is_admissible(d, p):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={p.p}")
     if method == "gkz":
-        labels = [
+        return [
             (rep, line, omega, class_from_line(rep, line, p))
             for rep in class_reps(d)
             for line, omega in _line_orbits(rep, p)
         ]
-    elif method == "brute":
-        labels = [
+    if method == "brute":
+        return [
             (QuadForm(*rep_t), line, omega, form)
             for rep_t, line, omega, form in brute_force_labels(p, d)
         ]
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
+    raise ValueError(f"unknown enumeration method {method!r}")
+
+
+def enumerate_classes(p: PrimeLevel, d: int, method: str = "gkz") -> list[HeegnerClass]:
+    """One HeegnerClass per Gamma_0(p)-class of Q_{d,p}: class_labels with
+    height-optimized evaluation forms, sorted by (beta, SL_2 rep, line)."""
     classes = [
         HeegnerClass(
             p=p,
@@ -384,7 +388,7 @@ def enumerate_classes(p: PrimeLevel, d: int, method: str = "gkz") -> list[Heegne
             eval_form=optimize_height(form, p),
             omega=omega,
         )
-        for rep, line, omega, form in labels
+        for rep, line, omega, form in class_labels(p, d, method)
     ]
     classes.sort(key=lambda h: (h.beta, h.sl2_rep.as_tuple(), h.line))
     return classes

@@ -42,7 +42,7 @@ from .cm_eval import (
     round_to_integer,
 )
 from .hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
-from .qforms import HeegnerClass, InadmissibleDiscriminant, enumerate_classes
+from .qforms import HeegnerClass, InadmissibleDiscriminant, QuadForm, enumerate_classes
 from .qseries import WindowError
 
 
@@ -118,15 +118,15 @@ class _LevelState:
                 self.classes_cache[key] = enumerate_classes(self.level, d, method)
             return self.classes_cache[key]
 
-    def cm_value(self, form, ctx: PrecisionContext) -> Fixed:
-        """j_p*(alpha_form) in fixed point at exactly (ctx.bits, ctx.terms)."""
+    def cm_value(self, form, ctx: PrecisionContext, values: dict) -> Fixed:
+        """j_p*(alpha_form) in fixed point at exactly (ctx.bits, ctx.terms),
+        memoized in values: value_cache, or a dict private to one call."""
         key = (form.as_tuple(), fixed_width(ctx.bits), ctx.terms)
         with self.lock:
-            if key not in self.value_cache:
+            if key not in values:
                 h = self.hauptmodul(ctx.terms + 2)
-                q = cm_point_q(form, ctx.bits)
-                self.value_cache[key] = horner_in_q(h.series, q, ctx.terms, ctx.bits)
-            return self.value_cache[key]
+                values[key] = horner_in_q(h.series, cm_point_q(form, ctx.bits), ctx.terms, ctx.bits)
+            return values[key]
 
 
 _STATES: dict[int, _LevelState] = {}
@@ -138,19 +138,6 @@ def _state(level: PrimeLevel) -> _LevelState:
         if level.p not in _STATES:
             _STATES[level.p] = _LevelState(level)
         return _STATES[level.p]
-
-
-def take_classes(p, d: int) -> list[HeegnerClass]:
-    """The GKZ classes of d, removed from the per-level cache.
-
-    For callers that visit each d once, such as a trace table: the classes
-    trace() enumerated are reused, not enumerated again, and then released.
-    """
-    st = _state(_as_level(p))
-    with st.lock:
-        classes = st.classes(d, "gkz")
-        del st.classes_cache[(d, "gkz")]
-        return classes
 
 
 def reset_state():
@@ -178,7 +165,9 @@ def trace(
     symmetric roots), weighted 1/omega, and halved by the index-2 mass factor
     converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The sum is one
     fixed-point integer with the weights mult/(2 omega) scaled by 12, which
-    makes them the integers 6 mult/omega for omega in {1, 2, 3}.
+    makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
+    distinct evaluation form (Fricke pairs share one), so each is evaluated once.
+    memo=False, like ctx0, reads and keeps no memoized classes, CM values or record.
     """
     level = _as_level(p)
     if D < 1:
@@ -187,7 +176,8 @@ def trace(
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
     st = _state(level)
     key = (D, d, method)
-    if memo and ctx0 is None:
+    memo = memo and ctx0 is None
+    if memo:
         with st.lock:
             rec = st.trace_cache.get(key)
         if rec is not None:
@@ -199,11 +189,11 @@ def trace(
         if hit is not None:
             return hit
 
-    classes = st.classes(d, method)
+    classes = st.classes(d, method) if memo else enumerate_classes(level, d, method)
+    values = st.value_cache if memo else {}
     ctx = plan_precision(d, classes, ctx0, degree=D)
     poly = st.faber_poly(D)
-    two_p = 2 * level.p
-    weighted = []
+    weights: dict[QuadForm, int] = {}
     for cl in classes:
         if cl.beta > level.p:
             continue
@@ -212,13 +202,13 @@ def trace(
                 f"class {cl.sl2_rep.as_tuple()} line {cl.line} of d={d} at "
                 f"p={level.p} has stabilizer order {cl.omega}, not a divisor of 6"
             )
-        mult = 1 if (2 * cl.beta) % two_p == 0 else 2
-        weighted.append((cl.eval_form, 6 * mult // cl.omega))
+        mult = 1 if cl.beta % level.p == 0 else 2  # beta = -beta mod 2p
+        weights[cl.eval_form] = weights.get(cl.eval_form, 0) + 6 * mult // cl.omega
 
     def compute(c: PrecisionContext) -> Fraction:
         total = 0
-        for form, w in weighted:
-            total += w * horner_poly(poly, st.cm_value(form, c), c.bits)[0]
+        for form, w in weights.items():
+            total += w * horner_poly(poly, st.cm_value(form, c, values), c.bits)[0]
         return Fraction(total, 12 << fixed_width(c.bits))
 
     rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
@@ -236,7 +226,7 @@ def trace(
         heights=heights,
         residual=rounded.residual,
     )
-    if memo and ctx0 is None:
+    if memo:
         with st.lock:
             st.trace_cache[key] = rec
     if cache is not None:
@@ -596,8 +586,8 @@ class TraceCache:
     def verify(self) -> dict:
         """Recompute every cached trace and compare; returns a report.
 
-        Each recomputation bypasses the in-process trace memo and uses the
-        record's own class enumeration method.
+        Each recomputation uses the record's own enumeration method and
+        memo=False: no classes, CM values or records from the in-process memo.
         """
         bad = []
         with self._lock:

@@ -135,6 +135,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("kind", ["congruence", "recurrence"])
+    @pytest.mark.parametrize("d", ["0", "-7"])
+    def test_nonpositive_d_exits_2(self, tmp_path, capsys, kind, d):
+        # --d 0 is a value, not an absent --d: it must not run the --dmax grid
+        code, out, err = run(capsys, "verify", kind, "--p", "2", "--ell", "3", "--d", d,
+                             "--dmax", "40", "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert f"d={d}" in json.loads(err)["error"]
+
     def test_csv_format_exits_2(self, tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "congruence", "--p", "2", "--ell", "3",
                            "--dmax", "20", "--format", "csv",
@@ -191,15 +200,34 @@ class TestTraceTable:
             return real(level, d, method)
 
         monkeypatch.setattr(traces, "enumerate_classes", counted)
-        for _ in range(2):  # cold, then every row from the cache file
-            reset_state()
-            code, out, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
-                               "--cache", str(tmp_path / "c.jsonl"))
-            assert code == 0
-            rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out))]
-            assert calls == rows
-            assert traces._state(PrimeLevel(2)).classes_cache == {}
-            calls.clear()
+        cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+        reset_state()
+        code, out_cold, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
+                                "--cache", str(cold))
+        assert code == 0
+        assert calls == [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
+        st = traces._state(PrimeLevel(2))
+        assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
+
+        warm.write_bytes(cold.read_bytes())
+        warm.chmod(0o444)  # as in the benchmark; a superuser can still write, so compare bytes
+        calls.clear()
+        code, out_warm, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
+                                "--cache", str(warm))
+        assert code == 0 and out_warm == out_cold and calls == []
+        assert warm.read_bytes() == cold.read_bytes()
+        assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_empty_table_prints_the_header(self, tmp_path, capsys, fmt):
+        header = "d,beta_count,class_count,trace\r\n"  # csv's row terminator, as on every row
+        argv = ("trace-table", "--p", "2", "--dmax", "3", "--format", fmt,
+                "--cache", str(tmp_path / "c.jsonl"))
+        assert run(capsys, *argv) == (0, header, "")
+        out_file = tmp_path / "t.csv"
+        assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+        assert out_file.read_bytes() == header.encode()
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 class TestCacheCommand:

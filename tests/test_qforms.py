@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, is_admissible
+from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, is_admissible, sqrt_classes
 from moduli_traces.qforms import (
     HeegnerClass,
     InadmissibleDiscriminant,
@@ -14,6 +14,7 @@ from moduli_traces.qforms import (
     _complete_gamma0,
     brute_force_labels,
     class_from_line,
+    class_labels,
     class_reps,
     enumerate_classes,
     optimize_height,
@@ -254,6 +255,30 @@ class TestEnumerateClasses:
             cls = enumerate_classes(P2, d)
             keys = [(c.beta, c.sl2_rep.as_tuple(), c.line) for c in cls]
             assert keys == sorted(keys)
+
+    def test_counts_from_arithmetic(self):
+        # trace-table's two counts: every beta with beta^2 = -d mod 4p labels
+        # the class [p, beta, (beta^2 + d)/4p], and there is one label per class
+        for p in SUPPORTED_LEVELS:
+            level = PrimeLevel(p)
+            for d in range(1, 301):
+                if not is_admissible(d, level):
+                    continue
+                classes = enumerate_classes(level, d)
+                assert len(sqrt_classes(d, level)) == len({c.beta for c in classes}), (p, d)
+                assert len(class_labels(level, d)) == len(classes), (p, d)
+
+    def test_class_labels_are_the_unoptimized_classes(self):
+        for method in ("gkz", "brute"):
+            labels = sorted(
+                (form.b % 4, rep.as_tuple(), line, omega)
+                for rep, line, omega, form in class_labels(P2, 108, method)
+            )
+            classes = [(c.beta, c.sl2_rep.as_tuple(), c.line, c.omega)
+                       for c in enumerate_classes(P2, 108, method)]
+            assert labels == classes
+        with pytest.raises(InadmissibleDiscriminant):
+            class_labels(P2, 5)
 
 
 class TestBruteForceOracle:

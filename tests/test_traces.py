@@ -11,10 +11,11 @@ import mpmath
 import pytest
 
 import oracles
+from moduli_traces import traces as traces_mod
 from moduli_traces.arith import PrimeLevel, divisors, is_admissible, kronecker
 from moduli_traces.cm_eval import PrecisionContext
 from moduli_traces.hauptmodul import build_hauptmodul
-from moduli_traces.qforms import InadmissibleDiscriminant, QuadForm
+from moduli_traces.qforms import InadmissibleDiscriminant, QuadForm, enumerate_classes
 from moduli_traces.qseries import WindowError
 from moduli_traces.traces import (
     CacheIntegrityError,
@@ -27,7 +28,6 @@ from moduli_traces.traces import (
     hecke_apply,
     plus_condition,
     reset_state,
-    take_classes,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -71,15 +71,43 @@ class TestTrace:
         assert trace(P2, 1, 108).value == -12288992
         assert trace(P2, 1, 16).value == 518
 
-    def test_take_classes_reuses_and_releases(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"memo": False},
+        {"ctx0": PrecisionContext(bits=256, terms=128)},
+    ])
+    def test_unmemoized_call_keeps_nothing(self, kwargs):
         reset_state()
-        trace(P2, 1, 23)
-        cached = _state(P2).classes_cache[(23, "gkz")]
-        assert take_classes(P2, 23) is cached
-        assert (23, "gkz") not in _state(P2).classes_cache
-        # absent from the cache: enumerated, returned, and not kept
-        assert take_classes(P2, 23) == cached
-        assert (23, "gkz") not in _state(P2).classes_cache
+        try:
+            assert trace(P2, 1, 23, **kwargs).value == -94
+            st = _state(P2)
+            assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
+        finally:
+            reset_state()
+
+    def test_unmemoized_call_reads_no_memo(self):
+        reset_state()
+        try:
+            rec = trace(P2, 1, 23)
+            _state(P2).classes_cache[(23, "gkz")] = []  # would sum to 0 if read
+            assert trace(P2, 1, 23, memo=False).value == rec.value
+        finally:
+            reset_state()
+
+    def test_each_distinct_form_evaluated_once(self, monkeypatch):
+        calls = []
+        real = traces_mod.horner_poly
+        monkeypatch.setattr(
+            traces_mod, "horner_poly", lambda poly, x, bits: calls.append(x) or real(poly, x, bits)
+        )
+        # (level, d, summed classes, distinct evaluation forms)
+        for level, d, n_classes, n_forms in ((P2, 108, 8, 4), (P3, 108, 10, 6),
+                                             (PrimeLevel(13), 399, 16, 16)):
+            calls.clear()
+            rec = trace(level, 1, d, memo=False)
+            summed = [c.eval_form for c in enumerate_classes(level, d) if c.beta <= level.p]
+            assert (len(summed), len(set(summed))) == (n_classes, n_forms)
+            assert len(calls) == n_forms
+            assert rec.value == oracles.trace_value(level.p, 1, d)
 
     def test_methods_agree(self):
         for d in (16, 23, 108):
@@ -409,6 +437,26 @@ class TestTraceCache:
         assert not report["ok"]
         assert report["mismatches"] == [
             {"p": 2, "D": 1, "d": 39, "cached": str(bad.value), "fresh": str(rec.value)}
+        ]
+
+    def test_verify_recomputes_poisoned_cm_values(self, tmp_path):
+        # a wrong CM value in the in-process memo makes trace() write a wrong
+        # record; verify shares no memo with trace(), so it reports it
+        reset_state()
+        try:
+            trace(P2, 1, 23)
+            st = _state(P2)
+            st.trace_cache.clear()
+            key = next(iter(st.value_cache))
+            re, im = st.value_cache[key]
+            st.value_cache[key] = (re + (12 << key[1]), im)
+            cache = TraceCache(tmp_path / "c.jsonl")
+            assert trace(P2, 1, 23, cache=cache).value == -82
+            report = cache.verify()
+        finally:
+            reset_state()
+        assert report["mismatches"] == [
+            {"p": 2, "D": 1, "d": 23, "cached": "-82", "fresh": "-94"}
         ]
 
     def test_trace_uses_cache(self, tmp_path):
