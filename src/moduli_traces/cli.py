@@ -23,6 +23,7 @@ from .traces import (
     CacheIntegrityError,
     TraceCache,
     check_ell,
+    check_square,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -143,33 +144,26 @@ def cmd_trace_table(args) -> int:
             }
         )
     obj = {"p": level.p, "dmax": args.dmax, "rows": rows}
-    fmt = args.format if args.format != "text" else "csv"
-    _emit(obj, fmt, rows=rows, out=args.out, fieldnames=["d", "beta_count", "class_count", "trace"])
+    _emit(obj, args.format, rows=rows, out=args.out, fieldnames=["d", "beta_count", "class_count", "trace"])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     level = PrimeLevel(args.p)
     check_ell(level, args.ell)
-    if args.kind != "coeff-identities" and args.n < 1:
-        return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
-    reports = []
-    if args.kind == "congruence":
-        ds = [args.d] if args.d is not None else [
-            d for d in range(1, args.dmax + 1) if is_admissible(d, level) and splits(args.ell, d)
-        ]
-        for d in sorted(ds):
-            reports.append(verify_congruence(level, args.ell, d, args.n))
-    elif args.kind == "recurrence":
-        ds = [args.d] if args.d is not None else [
-            d for d in range(1, args.dmax + 1) if is_admissible(d, level)
-        ]
-        for d in sorted(ds):
-            reports.append(verify_recurrence(level, args.ell, args.D, d, args.n))
-    else:
+    grid = [d for d in range(1, args.dmax + 1) if is_admissible(d, level)]
+    if args.kind == "coeff-identities":
         D_list = [m * m for m in range(1, args.Dmax + 1) if m * m <= args.Dmax]
-        d_list = [d for d in range(1, args.dmax + 1) if is_admissible(d, level)]
-        reports.append(verify_coeff_identities(level, args.ell, D_list, d_list))
+        reports = [verify_coeff_identities(level, args.ell, D_list, grid)]
+    elif args.n < 1:
+        return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
+    elif args.kind == "congruence":
+        ds = [args.d] if args.d is not None else [d for d in grid if splits(args.ell, d)]
+        reports = [verify_congruence(level, args.ell, d, args.n) for d in ds]
+    else:
+        check_square(args.D)
+        ds = [args.d] if args.d is not None else grid
+        reports = [verify_recurrence(level, args.ell, args.D, d, args.n) for d in ds]
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}
     _emit(obj, args.format, out=args.out)
@@ -191,62 +185,69 @@ def cmd_cache(args) -> int:
 
 
 def _add_common(sp, formats=("text", "json", "csv"), cache_help=None):
-    sp.add_argument("--format", choices=formats, default="text")
+    sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--cache", default="./traces-cache.jsonl", help=cache_help)
 
 
+# what each verify kind reads besides --p, --ell, --dmax, --out, --format, --cache
+VERIFY_FLAGS = {
+    "congruence": {"n": 1, "d": None},
+    "recurrence": {"n": 1, "d": None, "D": 1},
+    "coeff-identities": {"Dmax": 16},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # argparse does not pass allow_abbrev down, so every parser sets it: a
+    # prefix such as --d would otherwise stand for --dmax
     ap = argparse.ArgumentParser(
         prog="moduli-traces",
         description="Traces of singular moduli for the Fricke groups of prime "
         "level p with (p-1) | 24, plus identity verifiers.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("hauptmodul", help="dump Hauptmodul coefficients")
-    sp.add_argument("--p", type=int, required=True)
+    def command(parent, name, func, help=None):
+        sp = parent.add_parser(name, help=help, allow_abbrev=False)
+        sp.set_defaults(func=func)
+        sp.add_argument("--p", type=int, required=True)
+        return sp
+
+    sp = command(sub, "hauptmodul", cmd_hauptmodul, "dump Hauptmodul coefficients")
     sp.add_argument("--terms", type=int, default=10)
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sp.set_defaults(func=cmd_hauptmodul)
 
-    sp = sub.add_parser("classes", help="list Heegner classes for (p, d)")
-    sp.add_argument("--p", type=int, required=True)
+    sp = command(sub, "classes", cmd_classes, "list Heegner classes for (p, d)")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sp.set_defaults(func=cmd_classes)
 
-    sp = sub.add_parser("trace", help="compute one certified trace")
-    sp.add_argument("--p", type=int, required=True)
+    sp = command(sub, "trace", cmd_trace, "compute one certified trace")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--D", type=int, default=1)
     _add_common(sp)
-    sp.set_defaults(func=cmd_trace)
 
-    sp = sub.add_parser("trace-table", help="traces for all admissible d <= dmax")
-    sp.add_argument("--p", type=int, required=True)
+    sp = command(sub, "trace-table", cmd_trace_table, "traces for all admissible d <= dmax")
     sp.add_argument("--dmax", type=int, required=True)
     sp.add_argument("--out", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_trace_table)
+    _add_common(sp, formats=("csv", "json"))
 
-    sp = sub.add_parser("verify", help="run an identity verifier over a grid")
-    sp.add_argument("kind", choices=("congruence", "recurrence", "coeff-identities"))
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--D", type=int, default=1)
-    sp.add_argument("--dmax", type=int, default=30)
-    sp.add_argument("--Dmax", type=int, default=16)
-    sp.add_argument("--out", default=None)
-    _add_common(sp, formats=("text", "json"),
-                cache_help="accepted and ignored: verify neither reads nor writes the cache")
-    sp.set_defaults(func=cmd_verify)
+    kinds = sub.add_parser("verify", help="run an identity verifier over a grid",
+                           allow_abbrev=False).add_subparsers(dest="kind", required=True)
+    for kind, flags in VERIFY_FLAGS.items():
+        sp = command(kinds, kind, cmd_verify)
+        sp.add_argument("--ell", type=int, required=True)
+        for flag, default in flags.items():
+            sp.add_argument(f"--{flag}", type=int, default=default)
+        sp.add_argument("--dmax", type=int, default=30)
+        sp.add_argument("--out", default=None)
+        _add_common(sp, formats=("text", "json"),
+                    cache_help="accepted and ignored: verify neither reads nor writes the cache")
 
-    sp = sub.add_parser("cache", help="inspect or verify the trace cache")
+    sp = sub.add_parser("cache", help="inspect or verify the trace cache", allow_abbrev=False)
+    sp.set_defaults(func=cmd_cache)
     sp.add_argument("action", choices=("stats", "verify"))
     _add_common(sp, formats=("text", "json"))
-    sp.set_defaults(func=cmd_cache)
 
     return ap
 

@@ -95,20 +95,16 @@ class _LevelState:
     def hauptmodul(self, min_order: int) -> Hauptmodul:
         with self.lock:
             if self.haupt is None or self.haupt.order < min_order:
-                target = 512
-                while target < min_order:
-                    target *= 2
-                self.haupt = build_hauptmodul(self.level, target)
+                # the next power of two at or above min_order: the series is
+                # exact, so growing it changes no value read from it
+                self.haupt = build_hauptmodul(self.level, 1 << (min_order - 1).bit_length())
             return self.haupt
 
     def faber_poly(self, D: int) -> list[int]:
         with self.lock:
             if D >= len(self.polys):
-                dmax = 16
-                while dmax < D:
-                    dmax *= 2
-                h = self.hauptmodul(dmax + 2)
-                self.polys = faber_polys(h, dmax)
+                dmax = 1 << (D - 1).bit_length()
+                self.polys = faber_polys(self.hauptmodul(dmax + 2), dmax)
             return self.polys[D]
 
     def classes(self, d: int, method: str) -> list[HeegnerClass]:
@@ -243,9 +239,7 @@ def b_coeff(p, D: int, d: int) -> int:
     the integrality certificate and failure raises instead of rounding.
     """
     level = _as_level(p)
-    m = math.isqrt(max(D, 0))
-    if D < 1 or m * m != D:
-        raise ValueError(f"D={D} must be a positive perfect square")
+    m = check_square(D)
     acc = 0
     for n in divisors(m):
         mu = moebius(m // n)
@@ -340,6 +334,14 @@ def check_ell(level: PrimeLevel, ell: int):
         raise HypothesisViolation("ell-not-prime", f"ell={ell}, need an odd prime")
     if ell == level.p:
         raise HypothesisViolation("ell-equals-p", f"ell=p={ell}")
+
+
+def check_square(D: int) -> int:
+    """The m >= 1 with D = m^2; ValueError unless D is a positive perfect square."""
+    m = math.isqrt(max(D, 0))
+    if D < 1 or m * m != D:
+        raise ValueError(f"D={D} must be a positive perfect square")
+    return m
 
 
 def _b_or_zero(level: PrimeLevel, D, d) -> int:

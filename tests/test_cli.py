@@ -135,6 +135,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "error" in json.loads(err)
 
+    def test_non_square_D_exits_2_before_the_grid(self, tmp_path, capsys):
+        for dmax in ("0", "8"):
+            code, out, err = run(capsys, "verify", "recurrence", "--p", "2", "--ell", "3",
+                                 "--D", "2", "--dmax", dmax, "--cache", str(tmp_path / "c.jsonl"))
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"error": "D=2 must be a positive perfect square"}
+
     @pytest.mark.parametrize("kind", ["congruence", "recurrence"])
     @pytest.mark.parametrize("d", ["0", "-7"])
     def test_nonpositive_d_exits_2(self, tmp_path, capsys, kind, d):
@@ -218,10 +225,10 @@ class TestTraceTable:
         assert warm.read_bytes() == cold.read_bytes()
         assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
 
-    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["default", "csv"])
     def test_empty_table_prints_the_header(self, tmp_path, capsys, fmt):
         header = "d,beta_count,class_count,trace\r\n"  # csv's row terminator, as on every row
-        argv = ("trace-table", "--p", "2", "--dmax", "3", "--format", fmt,
+        argv = ("trace-table", "--p", "2", "--dmax", "3", *fmt,
                 "--cache", str(tmp_path / "c.jsonl"))
         assert run(capsys, *argv) == (0, header, "")
         out_file = tmp_path / "t.csv"
@@ -306,6 +313,40 @@ class TestArgumentContract:
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, *argv)
         assert code == 2 and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        # a flag of another verify kind: each kind accepts only the flags it reads
+        "verify congruence --p 2 --ell 3 --D 4",
+        "verify congruence --p 2 --ell 3 --Dmax 4",
+        "verify recurrence --p 2 --ell 3 --Dmax 4",
+        "verify coeff-identities --p 2 --ell 3 --n 1",
+        "verify coeff-identities --p 2 --ell 3 --d 7",
+        "verify coeff-identities --p 2 --ell 3 --D 4",
+        # the kind comes first
+        "verify --p 2 --ell 3 congruence",
+        # no prefix stands for a longer flag
+        "trace-table --p 2 --d 8",
+        "hauptmodul --p 2 --t 3",
+        "verify coeff-identities --p 2 --ell 3 --dm 8",
+        # csv is the table's one plain-text format
+        "trace-table --p 2 --dmax 8 --format text",
+    ])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        "congruence --n 2", "recurrence --n 2 --D 4", "coeff-identities --Dmax 4",
+    ])
+    def test_each_verify_kind_reads_its_flags(self, tmp_path, capsys, monkeypatch, argv):
+        # --d, read by congruence and recurrence, is covered by test_nonpositive_d_exits_2
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify", *argv.split(), "--p", "2", "--ell", "3",
+                           "--dmax", "0", "--format", "json")
+        assert code == 0 and json.loads(out)["kind"] == argv.split()[0]
         assert list(tmp_path.iterdir()) == []
 
     def test_readme_examples_parse(self, tmp_path, capsys, monkeypatch):
