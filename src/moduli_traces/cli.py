@@ -18,7 +18,7 @@ import warnings
 from .arith import PrimeLevel, is_admissible, splits, sqrt_classes
 from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
-from .qforms import class_labels, enumerate_classes
+from .qforms import enumerate_classes
 from .traces import (
     CacheIntegrityError,
     TraceCache,
@@ -139,7 +139,7 @@ def cmd_trace_table(args) -> int:
             {
                 "d": d,
                 "beta_count": len(sqrt_classes(d, level)),
-                "class_count": len(class_labels(level, d)),
+                "class_count": rec.class_count,
                 "trace": str(rec.value),
             }
         )
@@ -197,10 +197,17 @@ VERIFY_FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag error as one {"error": ...} stderr line, exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # argparse does not pass allow_abbrev down, so every parser sets it: a
     # prefix such as --d would otherwise stand for --dmax
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="moduli-traces",
         description="Traces of singular moduli for the Fricke groups of prime "
         "level p with (p-1) | 24, plus identity verifiers.",

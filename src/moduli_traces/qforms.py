@@ -113,12 +113,6 @@ def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
             m11, m12 = m12, -m11
             m21, m22 = m22, -m21
             continue
-        if abs(b) == a and b < 0:
-            # translate once more: b = -a -> b = a
-            c = c - b + a  # c + b*1 + a with b = -a gives c
-            b = b + 2 * a
-            m12, m22 = m12 + m11, m22 + m21
-            continue
         break
     R = QuadForm(a, b, c)
     if Q.transform(m11, m12, m21, m22) != R or not R.is_reduced():

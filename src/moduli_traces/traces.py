@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,7 +43,13 @@ from .cm_eval import (
     round_to_integer,
 )
 from .hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
-from .qforms import HeegnerClass, InadmissibleDiscriminant, QuadForm, enumerate_classes
+from .qforms import (
+    HeegnerClass,
+    InadmissibleDiscriminant,
+    QuadForm,
+    class_labels,
+    enumerate_classes,
+)
 from .qseries import WindowError
 
 
@@ -69,7 +76,7 @@ class TraceRecord:
     bits: int
     terms: int
     method: str
-    heights: tuple[float, ...] = ()
+    class_count: int | None = None  # None on a record as TraceCache loads it
     residual: float | None = None  # None when not measured here: a cache hit
     cached: bool = False
 
@@ -183,11 +190,12 @@ def trace(
     if cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
-            return hit
+            return replace(hit, class_count=len(class_labels(level, d, method)))
 
     classes = st.classes(d, method) if memo else enumerate_classes(level, d, method)
     values = st.value_cache if memo else {}
     ctx = plan_precision(d, classes, ctx0, degree=D)
+    st.hauptmodul(ctx.terms + 2)  # at the CM order, before faber_poly asks for less
     poly = st.faber_poly(D)
     weights: dict[QuadForm, int] = {}
     for cl in classes:
@@ -208,9 +216,6 @@ def trace(
         return Fraction(total, 12 << fixed_width(c.bits))
 
     rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
-    heights = tuple(
-        round(math.sqrt(d) / (2 * cl.eval_form.a), 6) for cl in classes
-    )
     rec = TraceRecord(
         p=level.p,
         D=D,
@@ -219,7 +224,7 @@ def trace(
         bits=rounded.bits_used,
         terms=rounded.terms_used,
         method=method,
-        heights=heights,
+        class_count=len(classes),
         residual=rounded.residual,
     )
     if memo:
@@ -496,6 +501,19 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # persistent JSONL cache
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _int_field(obj: dict, key: str) -> int:
+    """An integer field of a cache line: a JSON integer or a decimal-integer string."""
+    v = obj[key]
+    if type(v) is int:  # not isinstance: a bool is an int
+        return v
+    if type(v) is str and _DECIMAL.fullmatch(v):
+        return int(v)
+    raise ValueError(f"{key} is {v!r}, not an integer")
+
+
 class TraceCache:
     """JSON Lines cache keyed by (p, D, d); puts are idempotent, conflicts abort.
 
@@ -523,17 +541,14 @@ class TraceCache:
                     continue
                 try:
                     obj = json.loads(line)
-                    rec = TraceRecord(
-                        p=int(obj["p"]),
-                        D=int(obj["D"]),
-                        d=int(obj["d"]),
-                        value=int(obj["t"]),
-                        bits=int(obj["bits"]),
-                        terms=int(obj["terms"]),
-                        method=str(obj["method"]),
-                        cached=True,
+                    if not isinstance(obj, dict):
+                        raise ValueError("not a JSON object")
+                    p, D, d, t, bits, terms = (
+                        _int_field(obj, k) for k in ("p", "D", "d", "t", "bits", "terms")
                     )
-                except (KeyError, ValueError, json.JSONDecodeError) as exc:
+                    rec = TraceRecord(p=p, D=D, d=d, value=t, bits=bits, terms=terms,
+                                      method=str(obj["method"]), cached=True)
+                except (KeyError, ValueError) as exc:
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: corrupt cache line ({exc})"
                     ) from exc

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from moduli_traces import cli, traces
+from moduli_traces import cli, qforms, traces
 from moduli_traces.arith import PrimeLevel
 from moduli_traces.traces import reset_state
 
@@ -199,29 +199,38 @@ class TestTraceTable:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_enumerates_each_row_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        real = traces.enumerate_classes
+        # class_count comes from the trace record: a cold row builds its class
+        # labels once, inside trace(), and a warm row once, for the count
+        calls, reps = [], []
+        real, real_reps = traces.enumerate_classes, qforms.class_reps
 
         def counted(level, d, method="gkz"):
             calls.append(d)
             return real(level, d, method)
 
+        def counted_reps(d):
+            reps.append(d)
+            return real_reps(d)
+
         monkeypatch.setattr(traces, "enumerate_classes", counted)
+        monkeypatch.setattr(qforms, "class_reps", counted_reps)
         cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
         reset_state()
         code, out_cold, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
                                 "--cache", str(cold))
         assert code == 0
-        assert calls == [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
+        rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
+        assert calls == rows and reps == rows
         st = traces._state(PrimeLevel(2))
         assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
 
         warm.write_bytes(cold.read_bytes())
         warm.chmod(0o444)  # as in the benchmark; a superuser can still write, so compare bytes
         calls.clear()
+        reps.clear()
         code, out_warm, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
                                 "--cache", str(warm))
-        assert code == 0 and out_warm == out_cold and calls == []
+        assert code == 0 and out_warm == out_cold and calls == [] and reps == rows
         assert warm.read_bytes() == cold.read_bytes()
         assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
 
@@ -281,10 +290,30 @@ class TestCacheCommand:
         code, *_ = run(capsys, "cache", "stats", "--cache", str(bad))
         assert code == 4
 
+    @pytest.mark.parametrize("line", [
+        "null",
+        "[1, 2]",
+        # a float trace must not be served truncated
+        '{"p": 2, "D": 1, "d": 4, "t": -26.9, "bits": 128, "terms": 64, "method": "gkz"}',
+    ], ids=["null", "list", "float-t"])
+    @pytest.mark.parametrize("argv", [("cache", "stats"), ("trace", "--p", "2", "--d", "4")])
+    def test_json_that_is_not_a_record_exits_4(self, tmp_path, capsys, line, argv):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--cache", str(bad))
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"].startswith(f"{bad}:1: corrupt cache line")
+
 
 class TestArgumentContract:
     def test_unknown_flag_exits_2(self, capsys):
-        assert run(capsys, "trace", "--p", "2", "--nope")[0] == 2
+        code, out, err = run(capsys, "trace", "--p", "2", "--d", "4", "--nope")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "moduli-traces: unrecognized arguments: --nope"}
+
+    def test_help_prints_usage_and_exits_0(self, capsys):
+        code, out, err = run(capsys, "trace", "--help")
+        assert code == 0 and out.startswith("usage: moduli-traces trace ") and err == ""
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert run(capsys)[0] == 2
@@ -334,8 +363,9 @@ class TestArgumentContract:
     ])
     def test_unread_flag_exits_2(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        code, out, _ = run(capsys, *argv.split())
+        code, out, err = run(capsys, *argv.split())
         assert code == 2 and out == ""
+        assert list(json.loads(err)) == ["error"]  # one JSON object, as for every error
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

@@ -15,7 +15,12 @@ from moduli_traces import traces as traces_mod
 from moduli_traces.arith import PrimeLevel, divisors, is_admissible, kronecker
 from moduli_traces.cm_eval import PrecisionContext
 from moduli_traces.hauptmodul import build_hauptmodul
-from moduli_traces.qforms import InadmissibleDiscriminant, QuadForm, enumerate_classes
+from moduli_traces.qforms import (
+    InadmissibleDiscriminant,
+    QuadForm,
+    class_labels,
+    enumerate_classes,
+)
 from moduli_traces.qseries import WindowError
 from moduli_traces.traces import (
     CacheIntegrityError,
@@ -124,7 +129,31 @@ class TestTrace:
         assert rec.p == 2 and rec.D == 1 and rec.d == 23
         assert rec.bits >= 128 and rec.terms >= 64
         assert rec.residual < 1e-6
-        assert len(rec.heights) == 6  # one height per class
+        assert rec.class_count == 6
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_class_count_on_every_record_trace_returns(self, tmp_path, p):
+        # computed, memo hit and cache hit all carry the count of class labels;
+        # only a record read straight from the cache file leaves it unset
+        level = PrimeLevel(p)
+        ds = [d for d in range(1, 301) if is_admissible(d, level)]
+        path = tmp_path / "c.jsonl"
+        reset_state()
+        try:
+            cache = TraceCache(path)
+            counts = {d: len(class_labels(level, d)) for d in ds}
+            for d in ds:
+                rec = trace(level, 1, d, cache=cache)
+                assert not rec.cached and rec.class_count == counts[d], d
+                assert trace(level, 1, d) is rec  # memo hit
+            reset_state()
+            cache = TraceCache(path)
+            for d in ds:
+                assert cache.get(p, 1, d).class_count is None
+                hit = trace(level, 1, d, cache=cache)
+                assert hit.cached and hit.class_count == counts[d], d
+        finally:
+            reset_state()
 
     def test_precision_override_respected(self):
         rec = trace(P2, 1, 7, ctx0=PrecisionContext(bits=640, terms=256))
@@ -382,6 +411,28 @@ class TestTraceCache:
         with pytest.raises(CacheIntegrityError) as exc:
             TraceCache(path)
         assert ":2:" in str(exc.value)
+
+    @pytest.mark.parametrize("line", [
+        "null",
+        "[1, 2]",
+        '"text"',
+        '{"p": 2, "D": 1, "d": 4, "t": -26.9, "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26.9", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128.0, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": true, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+    ])
+    def test_json_that_is_not_a_record_is_corrupt(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CacheIntegrityError, match=r"c\.jsonl:1: corrupt cache line"):
+            TraceCache(path)
+
+    def test_integer_fields_may_be_decimal_strings(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"p": "2", "D": 1, "d": "4", "t": "-26", "bits": 128, '
+                        '"terms": "64", "method": "gkz"}\n')
+        rec = TraceCache(path).get(2, 1, 4)
+        assert (rec.value, rec.bits, rec.terms) == (-26, 128, 64)
 
     def test_torn_last_line_is_skipped_then_removed(self, tmp_path):
         # a writer killed mid-line leaves an unterminated last line
