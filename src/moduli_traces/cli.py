@@ -198,10 +198,20 @@ VERIFY_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a flag error as one {"error": ...} stderr line, exit 2; subparsers inherit it."""
+    """Reports a flag error as one {"error": ...} stderr line, exit 2; subparsers inherit it.
+
+    Each parser rejects the arguments it does not know, so the message names
+    the subcommand rather than the root program.
+    """
 
     def error(self, message):
         self.exit(EXIT_BAD_INPUT, json.dumps({"error": f"{self.prog}: {message}"}) + "\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,9 +3,10 @@
 The evaluation kernel works on W-bit fixed-point complex numbers: a pair
 (re, im) of Python ints stands for (re + i im) 2^-W, with
 W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  mpmath
-appears only where q and q^-1 enter, once per CM point (`cm_point_q`, from
-mpmath.libmp); no mpf leaves the kernel.  A class sum leaves as an exact
-rational, which `round_to_integer` rounds with no further error.
+appears only where q and q^-1 enter, once per CM point (`cm_point_q`), and is
+imported there at the first CM point, so a process that only reads cached
+traces never loads it; no mpf leaves the kernel.  A class sum leaves as an
+exact rational, which `round_to_integer` rounds with no further error.
 
 Error model, absolute, for one class value P_D(j(alpha)):
 - the Horner sum over c_v, ..., c_terms is off by at most (terms - v + 1) 2^-W,
@@ -31,19 +32,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
-
-from mpmath.libmp import (
-    fone,
-    from_int,
-    from_rational,
-    mpf_cos_sin_pi,
-    mpf_div,
-    mpf_exp,
-    mpf_mul,
-    mpf_pi,
-    mpf_sqrt,
-    to_fixed,
-)
 
 from .qforms import QuadForm, HeegnerClass
 from .qseries import TruncatedLaurentSeries, WindowError
@@ -100,16 +88,19 @@ def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
     heights.  Both are rounded once to 2^-W; e^t is evaluated with its
     t/ln 2 integer bits on top of W.
     """
+    from mpmath import libmp  # at the first CM point; see the module docstring
+
     W = fixed_width(bits)
     a, b, d = F.a, F.b, -F.disc
     prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
-    t = mpf_div(mpf_mul(mpf_pi(prec), mpf_sqrt(from_int(d), prec), prec), from_int(a), prec)
-    grow = mpf_exp(t, prec)
-    decay = mpf_div(fone, grow, prec)
-    cos_u, sin_u = mpf_cos_sin_pi(from_rational(b, a, prec, "n"), prec)
+    sqrt_d = libmp.mpf_sqrt(libmp.from_int(d), prec)
+    t = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(prec), sqrt_d, prec), libmp.from_int(a), prec)
+    grow = libmp.mpf_exp(t, prec)
+    decay = libmp.mpf_div(libmp.fone, grow, prec)
+    cos_u, sin_u = libmp.mpf_cos_sin_pi(libmp.from_rational(b, a, prec, "n"), prec)
 
     def fixed(r, x):
-        return to_fixed(mpf_mul(r, x, prec), W)
+        return libmp.to_fixed(libmp.mpf_mul(r, x, prec), W)
 
     q = (fixed(decay, cos_u), -fixed(decay, sin_u))
     return q, (fixed(grow, cos_u), fixed(grow, sin_u))

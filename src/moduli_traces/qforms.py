@@ -259,9 +259,9 @@ def _act_line(m: tuple[int, int, int, int], line: tuple[int, int], p: int) -> tu
 
 def root_lines(R: QuadForm, p: PrimeLevel) -> list[tuple[int, int]]:
     """All lines l in P^1(F_p) with R(l) = 0 mod p."""
-    pp = p.p
-    out = [(t, 1) for t in range(pp) if R.value(t, 1) % pp == 0]
-    if R.a % pp == 0:
+    pp, a, b, c = p.p, R.a, R.b, R.c
+    out = [(t, 1) for t in range(pp) if (a * t * t + b * t + c) % pp == 0]
+    if a % pp == 0:
         out.append((1, 0))
     return out
 
@@ -274,6 +274,8 @@ def _line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]
     """
     stab = sl2_stabilizer(R)
     lines = root_lines(R, p)
+    if len(stab) == 1:  # root_lines are canonical, so each is its own orbit
+        return [(line, 1) for line in lines]
     seen: set[tuple[int, int]] = set()
     orbits = []
     for line in lines:
@@ -283,6 +285,11 @@ def _line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]
         seen |= orbit
         orbits.append((min(orbit), len(stab) // len(orbit)))
     return orbits
+
+
+def class_count(p: PrimeLevel, d: int) -> int:
+    """len(class_labels(p, d)) for admissible d, without building the class forms."""
+    return sum(len(_line_orbits(R, p)) for R in class_reps(d))
 
 
 def _complete_line(line: tuple[int, int]) -> tuple[int, int, int, int]:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arith import (
+    SUPPORTED_LEVELS,
     PrimeLevel,
     divisors,
     is_admissible,
@@ -47,7 +48,7 @@ from .qforms import (
     HeegnerClass,
     InadmissibleDiscriminant,
     QuadForm,
-    class_labels,
+    class_count,
     enumerate_classes,
 )
 from .qseries import WindowError
@@ -190,7 +191,7 @@ def trace(
     if cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
-            return replace(hit, class_count=len(class_labels(level, d, method)))
+            return replace(hit, class_count=class_count(level, d))
 
     classes = st.classes(d, method) if memo else enumerate_classes(level, d, method)
     values = st.value_cache if memo else {}
@@ -502,6 +503,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 # persistent JSONL cache
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_METHODS = ("gkz", "brute")  # the enumeration methods of qforms.class_labels
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -546,8 +548,13 @@ class TraceCache:
                     p, D, d, t, bits, terms = (
                         _int_field(obj, k) for k in ("p", "D", "d", "t", "bits", "terms")
                     )
+                    method = obj["method"]
+                    if method not in _METHODS:  # a tuple: an unhashable value is just absent
+                        raise ValueError(f"method is {method!r}, not one of {_METHODS}")
+                    if p not in SUPPORTED_LEVELS:
+                        raise ValueError(f"p is {p}, not one of {SUPPORTED_LEVELS}")
                     rec = TraceRecord(p=p, D=D, d=d, value=t, bits=bits, terms=terms,
-                                      method=str(obj["method"]), cached=True)
+                                      method=method, cached=True)
                 except (KeyError, ValueError) as exc:
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: corrupt cache line ({exc})"

@@ -19,7 +19,13 @@ import mpmath
 from moduli_traces.arith import PrimeLevel
 from moduli_traces.cm_eval import PrecisionContext, plan_precision, round_to_integer
 from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
-from moduli_traces.qforms import QuadForm, enumerate_classes
+from moduli_traces.qforms import (
+    QuadForm,
+    _act_line,
+    enumerate_classes,
+    root_lines,
+    sl2_stabilizer,
+)
 from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
 
 
@@ -108,3 +114,18 @@ def trace_value(p: int, D: int, d: int, ctx0: PrecisionContext | None = None) ->
             return Fraction(*mpmath.libmp.to_rational((total / 2)._mpf_))
 
     return round_to_integer(compute(ctx), ctx, recompute=compute).value
+
+
+def line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]]:
+    """Orbits of the SL_2-stabilizer of R on its root lines, computed for every
+    R (no shortcut for a trivial stabilizer): (least line, omega) pairs."""
+    stab = sl2_stabilizer(R)
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for line in root_lines(R, p):
+        if line in seen:
+            continue
+        orbit = {_act_line(m, line, p.p) for m in stab}
+        seen |= orbit
+        orbits.append((min(orbit), len(stab) // len(orbit)))
+    return orbits

@@ -3,7 +3,10 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,8 +298,12 @@ class TestCacheCommand:
         "[1, 2]",
         # a float trace must not be served truncated
         '{"p": 2, "D": 1, "d": 4, "t": -26.9, "bits": 128, "terms": 64, "method": "gkz"}',
-    ], ids=["null", "list", "float-t"])
-    @pytest.mark.parametrize("argv", [("cache", "stats"), ("trace", "--p", "2", "--d", "4")])
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": null}',
+        '{"p": 11, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+    ], ids=["null", "list", "float-t", "method-null", "p-11"])
+    @pytest.mark.parametrize("argv", [("cache", "stats"), ("trace", "--p", "2", "--d", "4"),
+                                      ("cache", "verify"),
+                                      ("trace-table", "--p", "2", "--dmax", "8")])
     def test_json_that_is_not_a_record_exits_4(self, tmp_path, capsys, line, argv):
         bad = tmp_path / "c.jsonl"
         bad.write_text(line + "\n")
@@ -305,11 +312,41 @@ class TestCacheCommand:
         assert json.loads(err)["error"].startswith(f"{bad}:1: corrupt cache line")
 
 
+class TestMpmathImport:
+    # a fresh interpreter: the test process has imported mpmath long ago
+    SCRIPT = (
+        "import sys; from moduli_traces import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        "print(code, 'mpmath' in sys.modules)"
+    )
+
+    def table(self, cache):
+        src = Path(qforms.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        argv = ["trace-table", "--p", "2", "--dmax", "24", "--cache", str(cache)]
+        res = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        return res.stdout.splitlines()[-1]
+
+    def test_warm_table_never_loads_mpmath(self, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        assert self.table(cache) == "0 True"  # an empty cache: every row is a CM sum
+        assert self.table(cache) == "0 False"  # every row is a cache hit
+
+
 class TestArgumentContract:
     def test_unknown_flag_exits_2(self, capsys):
         code, out, err = run(capsys, "trace", "--p", "2", "--d", "4", "--nope")
         assert code == 2 and out == ""
-        assert json.loads(err) == {"error": "moduli-traces: unrecognized arguments: --nope"}
+        assert json.loads(err) == {"error": "moduli-traces trace: unrecognized arguments: --nope"}
+
+    def test_unrecognized_argument_names_the_subcommand(self, capsys):
+        code, out, err = run(capsys, "verify", "coeff-identities", "--p", "2", "--ell", "3",
+                             "--d", "7")
+        assert code == 2 and out == ""
+        assert err == ('{"error": "moduli-traces verify coeff-identities: '
+                       'unrecognized arguments: --d 7"}\n')
 
     def test_help_prints_usage_and_exits_0(self, capsys):
         code, out, err = run(capsys, "trace", "--help")

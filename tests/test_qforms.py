@@ -6,13 +6,16 @@ import random
 import pytest
 
 from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, is_admissible, sqrt_classes
+import oracles
 from moduli_traces.qforms import (
     HeegnerClass,
     InadmissibleDiscriminant,
     NotPositiveDefinite,
     QuadForm,
     _complete_gamma0,
+    _line_orbits,
     brute_force_labels,
+    class_count,
     class_from_line,
     class_labels,
     class_reps,
@@ -267,6 +270,27 @@ class TestEnumerateClasses:
                 classes = enumerate_classes(level, d)
                 assert len(sqrt_classes(d, level)) == len({c.beta for c in classes}), (p, d)
                 assert len(class_labels(level, d)) == len(classes), (p, d)
+
+    @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
+    def test_class_count_is_the_number_of_labels(self, p):
+        # d <= 300 includes reps with p | content and the stabilizer reps
+        # [k, k, k] at d = 3k^2 and [k, 0, k] at d = 4k^2
+        level = PrimeLevel(p)
+        for d in range(1, 301):
+            if not is_admissible(d, level):
+                continue
+            for method in ("gkz", "brute"):
+                assert class_count(level, d) == len(class_labels(level, d, method)), (p, d, method)
+
+    @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
+    def test_line_orbits_match_the_full_orbit_computation(self, p):
+        level = PrimeLevel(p)
+        reps = {R for d in range(1, 301) if is_admissible(d, level) for R in class_reps(d)}
+        assert {len(sl2_stabilizer(R)) for R in reps} == {1, 2, 3}
+        # p | content needs d >= 3 p^2
+        assert any(R.a % p == R.b % p == R.c % p == 0 for R in reps) == (3 * p * p <= 300)
+        for R in reps:
+            assert _line_orbits(R, level) == oracles.line_orbits(R, level), (p, R)
 
     def test_class_labels_are_the_unoptimized_classes(self):
         for method in ("gkz", "brute"):

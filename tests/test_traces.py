@@ -420,6 +420,10 @@ class TestTraceCache:
         '{"p": 2, "D": 1, "d": 4, "t": "-26.9", "bits": 128, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128.0, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": true, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        # well-typed, but no enumeration method or no supported level
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": null}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": ["gkz"]}',
+        '{"p": 11, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
     ])
     def test_json_that_is_not_a_record_is_corrupt(self, tmp_path, line):
         path = tmp_path / "c.jsonl"
