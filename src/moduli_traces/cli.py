@@ -109,8 +109,8 @@ def cmd_classes(args) -> int:
 
 def cmd_trace(args) -> int:
     level = PrimeLevel(args.p)
-    cache = TraceCache(args.cache)
-    rec = trace(level, args.D, args.d, cache=cache)
+    with TraceCache(args.cache) as cache:
+        rec = trace(level, args.D, args.d, cache=cache)
     obj = {
         "p": rec.p,
         "D": rec.D,
@@ -128,21 +128,21 @@ def cmd_trace(args) -> int:
 
 def cmd_trace_table(args) -> int:
     level = PrimeLevel(args.p)
-    cache = TraceCache(args.cache)
     rows = []
-    for d in range(1, args.dmax + 1):
-        if not is_admissible(d, level):
-            continue
-        # each d is visited once, so a memo would only hold memory
-        rec = trace(level, 1, d, cache=cache, memo=False)
-        rows.append(
-            {
-                "d": d,
-                "beta_count": len(sqrt_classes(d, level)),
-                "class_count": rec.class_count,
-                "trace": str(rec.value),
-            }
-        )
+    with TraceCache(args.cache) as cache:
+        for d in range(1, args.dmax + 1):
+            if not is_admissible(d, level):
+                continue
+            # each d is visited once, so a memo would only hold memory
+            rec = trace(level, 1, d, cache=cache, memo=False)
+            rows.append(
+                {
+                    "d": d,
+                    "beta_count": len(sqrt_classes(d, level)),
+                    "class_count": rec.class_count,
+                    "trace": str(rec.value),
+                }
+            )
     obj = {"p": level.p, "dmax": args.dmax, "rows": rows}
     _emit(obj, args.format, rows=rows, out=args.out, fieldnames=["d", "beta_count", "class_count", "trace"])
     return EXIT_OK

@@ -3,10 +3,12 @@
 The evaluation kernel works on W-bit fixed-point complex numbers: a pair
 (re, im) of Python ints stands for (re + i im) 2^-W, with
 W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  mpmath
-appears only where q and q^-1 enter, once per CM point (`cm_point_q`), and is
-imported there at the first CM point, so a process that only reads cached
-traces never loads it; no mpf leaves the kernel.  A class sum leaves as an
-exact rational, which `round_to_integer` rounds with no further error.
+appears only where q and q^-1 enter (`cm_point_q`), and is imported at the
+first CM point, so a process that only reads cached traces never loads it; no
+mpf leaves the kernel.  e^t is shared per (d, a, prec) and cos/sin(pi b/a) per
+angle b/a mod 2 at prec rounded up to 64 bits, each a function of its key
+alone.  A class sum leaves as an exact rational, which `round_to_integer`
+rounds with no further error.
 
 Error model, absolute, for one class value P_D(j(alpha)):
 - the Horner sum over c_v, ..., c_terms is off by at most (terms - v + 1) 2^-W,
@@ -28,6 +30,7 @@ the certificate, not the envelope, is the correctness gate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -79,6 +82,23 @@ def fixed_width(bits: int) -> int:
     return bits + FIXED_GUARD_BITS
 
 
+@functools.lru_cache(maxsize=64)
+def _exp_t(d: int, a: int, prec: int):
+    """(e^t, e^-t) for t = pi sqrt(d)/a, as raw mpf at prec bits; shared by all b."""
+    from mpmath import libmp
+    sqrt_d = libmp.mpf_sqrt(libmp.from_int(d), prec)
+    t = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(prec), sqrt_d, prec), libmp.from_int(a), prec)
+    grow = libmp.mpf_exp(t, prec)
+    return grow, libmp.mpf_div(libmp.fone, grow, prec)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cos_sin_pi(num: int, den: int, prec: int):
+    """(cos, sin)(pi num/den) as raw mpf at prec bits."""
+    from mpmath import libmp
+    return libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec, "n"), prec)
+
+
 def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
     """(q, q^-1) in fixed point at the CM point alpha_F = (-b + i sqrt(d)) / (2a).
 
@@ -86,18 +106,17 @@ def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
     e^-t (cos u - i sin u) and q^-1 = e^t (cos u + i sin u).  q^-1 is formed
     from e^t itself, not as conj(q)/|q|^2, which underflows to 0 at large
     heights.  Both are rounded once to 2^-W; e^t is evaluated with its
-    t/ln 2 integer bits on top of W.
+    t/ln 2 integer bits on top of W, once per (d, a, prec); cos/sin u is
+    evaluated once per angle b/a mod 2, at prec rounded up to 64 bits.
     """
     from mpmath import libmp  # at the first CM point; see the module docstring
 
     W = fixed_width(bits)
     a, b, d = F.a, F.b, -F.disc
     prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
-    sqrt_d = libmp.mpf_sqrt(libmp.from_int(d), prec)
-    t = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(prec), sqrt_d, prec), libmp.from_int(a), prec)
-    grow = libmp.mpf_exp(t, prec)
-    decay = libmp.mpf_div(libmp.fone, grow, prec)
-    cos_u, sin_u = libmp.mpf_cos_sin_pi(libmp.from_rational(b, a, prec, "n"), prec)
+    grow, decay = _exp_t(d, a, prec)
+    g = math.gcd(b, a)
+    cos_u, sin_u = _cos_sin_pi(b // g % (2 * a // g), a // g, -(-prec // 64) * 64)
 
     def fixed(r, x):
         return libmp.to_fixed(libmp.mpf_mul(r, x, prec), W)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import threading
 import warnings
@@ -521,6 +522,8 @@ class TraceCache:
 
     A record counts once its newline is written: an unterminated last line, left
     by a writer killed mid-line, is skipped on load and cut by the next put.
+    put opens the file for appending at its first write, so a cache only read
+    is never opened for writing; close() or a with block releases it.
     """
 
     def __init__(self, path):
@@ -528,6 +531,7 @@ class TraceCache:
         self._mem: dict[tuple[int, int, int], TraceRecord] = {}
         self._lock = threading.Lock()
         self._torn_at: int | None = None  # byte offset of an unterminated last line
+        self._fd: int | None = None  # append descriptor, opened by the first write
         if self.path.exists():
             self._load()
 
@@ -593,12 +597,27 @@ class TraceCache:
                     "method": rec.method,
                 }
             )
-            with self.path.open("a") as fh:
+            if self._fd is None:
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
                 if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
+                    os.ftruncate(self._fd, self._torn_at)
                     self._torn_at = None
-                fh.write(line + "\n")
+            data = (line + "\n").encode()
+            if os.write(self._fd, data) != len(data):  # one write: a line is never split
+                raise OSError(f"{self.path}: short write, the last line may be torn")
             self._mem[key] = rec
+
+    def close(self):
+        with self._lock:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+
+    def __enter__(self) -> "TraceCache":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def stats(self) -> dict:
         with self._lock:

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 import oracles
+from moduli_traces import cm_eval
 from moduli_traces.arith import PrimeLevel, is_admissible
 from moduli_traces.cm_eval import (
     MAX_RETRIES,
@@ -29,6 +30,15 @@ P2 = PrimeLevel(2)
 
 def to_mpc(z, bits):
     return mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / 2 ** fixed_width(bits)
+
+
+def assert_matches_oracle(series, F, ctx):
+    """The kernel's value at F agrees with the oracle to 2^-(bits-8), relative to max(1, |value|)."""
+    got = horner_in_q(series, cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
+    ref = oracles.horner_in_q(series, oracles.cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
+    with mpmath.workprec(fixed_width(ctx.bits)):
+        err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
+        assert err <= mpmath.mpf(2) ** -(ctx.bits - 8), (ctx, F)
 
 
 def eval_at(series, F, ctx):
@@ -66,6 +76,30 @@ class TestEvalAtCM:
         with mpmath.workprec(256):
             assert abs(to_mpc(q, 128) + mpmath.exp(-mpmath.pi)) < mpmath.mpf(2) ** -100
             assert abs(to_mpc(q_inv, 128) + mpmath.exp(mpmath.pi)) < mpmath.mpf(2) ** -100
+
+    def test_shared_constants_do_not_depend_on_call_history(self):
+        # e^t and cos/sin are memoized per key; a value must be the same
+        # whichever calls filled the memos before it
+        F, bits = QuadForm(6, 5, 5), 192  # d = 95, angle 5/6
+        others = [cl.eval_form for d in (23, 95, 143) for cl in enumerate_classes(P2, d)]
+
+        def fresh():
+            cm_eval._exp_t.cache_clear()
+            cm_eval._cos_sin_pi.cache_clear()
+
+        fresh()
+        ref = cm_point_q(F, bits)
+        fresh()
+        for G in others:
+            for b in (128, 160, 256, 320):
+                cm_point_q(G, b)
+        assert cm_point_q(F, bits) == ref
+        fresh()
+        cm_point_q(QuadForm(6, -7, 6), 4 * bits)  # angle -7/6 = 5/6 mod 2, a higher bucket
+        assert cm_point_q(F, bits) == ref
+        # b -> b + 2a (or b - 2a) moves the CM point by -1 (or +1): q is unchanged
+        for G in (QuadForm(6, 17, 16), QuadForm(6, -7, 6)):
+            assert G.disc == F.disc and cm_point_q(G, bits) == ref
 
     def test_hauptmodul_singular_value(self):
         # j_2* at alpha = (-1+i)/2 is the algebraic integer -104 (the d=4
@@ -129,14 +163,24 @@ class TestFixedPointKernel:
             classes = enumerate_classes(level, d)
             ctx = plan_precision(d, classes)
             for cl in classes:
-                got = horner_in_q(series, cm_point_q(cl.eval_form, ctx.bits), ctx.terms, ctx.bits)
-                q = oracles.cm_point_q(cl.eval_form, ctx.bits)
-                ref = oracles.horner_in_q(series, q, ctx.terms, ctx.bits)
-                with mpmath.workprec(fixed_width(ctx.bits)):
-                    err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
-                    assert err <= mpmath.mpf(2) ** -(ctx.bits - 8), (d, cl.eval_form)
+                assert_matches_oracle(series, cl.eval_form, ctx)
                 checked += 1
         assert checked > 800
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_cm_values_match_oracle_at_escalated_precision(self, p):
+        # every class with d <= 100 at the plans round_to_integer escalates to,
+        # whose cos/sin precision buckets the planned precision never reaches
+        level = PrimeLevel(p)
+        series = build_hauptmodul(level, 1600).series
+        for d in range(1, 101):
+            if not is_admissible(d, level):
+                continue
+            classes = enumerate_classes(level, d)
+            up = plan_precision(d, classes).escalate()
+            for ctx in (up, up.escalate()):
+                for cl in classes:
+                    assert_matches_oracle(series, cl.eval_form, ctx)
 
     def test_faber_horner_matches_oracle(self):
         h = build_hauptmodul(P2, 200)

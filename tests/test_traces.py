@@ -2,6 +2,7 @@
 and the persistent cache."""
 
 import json
+import os
 import random
 import warnings
 from dataclasses import replace
@@ -140,12 +141,12 @@ class TestTrace:
         path = tmp_path / "c.jsonl"
         reset_state()
         try:
-            cache = TraceCache(path)
             counts = {d: len(class_labels(level, d)) for d in ds}
-            for d in ds:
-                rec = trace(level, 1, d, cache=cache)
-                assert not rec.cached and rec.class_count == counts[d], d
-                assert trace(level, 1, d) is rec  # memo hit
+            with TraceCache(path) as cache:
+                for d in ds:
+                    rec = trace(level, 1, d, cache=cache)
+                    assert not rec.cached and rec.class_count == counts[d], d
+                    assert trace(level, 1, d) is rec  # memo hit
             reset_state()
             cache = TraceCache(path)
             for d in ds:
@@ -375,34 +376,59 @@ class TestVerifyCongruence:
 class TestTraceCache:
     def test_put_get_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TraceCache(path)
-        rec = trace(P2, 1, 4)
-        cache.put(rec)
-        got = cache.get(2, 1, 4)
+        with TraceCache(path) as cache:
+            rec = trace(P2, 1, 4)
+            cache.put(rec)
+            got = cache.get(2, 1, 4)
         assert got.value == rec.value and got.bits == rec.bits
 
     def test_idempotent_put_single_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TraceCache(path)
-        rec = trace(P2, 1, 4)
-        cache.put(rec)
-        cache.put(rec)
+        with TraceCache(path) as cache:
+            rec = trace(P2, 1, 4)
+            cache.put(rec)
+            cache.put(rec)
         assert len(path.read_text().strip().splitlines()) == 1
+
+    def test_puts_share_one_descriptor_opened_by_the_first_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        opened = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda *args: opened.append(args[0]) or real_open(*args))
+        with TraceCache(path) as cache:
+            assert opened == [] and not path.exists()
+            for d in (4, 7, 8, 4):
+                cache.put(trace(P2, 1, d))
+            assert opened == [path]
+        assert cache._fd is None
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_read_only_use_never_opens_for_writing(self, tmp_path, monkeypatch):
+        # a warm cache may be read-only: hits and repeated puts must not open it
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            cache.put(trace(P2, 1, 4))
+        monkeypatch.setattr(os, "open", lambda *args: pytest.fail("opened for writing"))
+        with TraceCache(path) as warm:
+            hit = trace(P2, 1, 4, cache=warm, memo=False)
+            assert hit.cached
+            warm.put(hit)
 
     def test_reload_marks_cached(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        TraceCache(path).put(trace(P2, 1, 4))
+        with TraceCache(path) as cache:
+            cache.put(trace(P2, 1, 4))
         fresh = TraceCache(path)
         assert fresh.get(2, 1, 4).cached is True
         assert fresh.get(2, 1, 4).residual is None  # not stored, not measured
 
     def test_conflicting_put_aborts(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TraceCache(path)
-        rec = trace(P2, 1, 4)
-        cache.put(rec)
-        with pytest.raises(CacheIntegrityError):
-            cache.put(replace(rec, value=rec.value + 1))
+        with TraceCache(path) as cache:
+            rec = trace(P2, 1, 4)
+            cache.put(rec)
+            with pytest.raises(CacheIntegrityError):
+                cache.put(replace(rec, value=rec.value + 1))
 
     def test_corrupt_line_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -441,16 +467,17 @@ class TestTraceCache:
     def test_torn_last_line_is_skipped_then_removed(self, tmp_path):
         # a writer killed mid-line leaves an unterminated last line
         path = tmp_path / "c.jsonl"
-        cache = TraceCache(path)
-        for d in (4, 7):
-            cache.put(trace(P2, 1, d))
+        with TraceCache(path) as cache:
+            for d in (4, 7):
+                cache.put(trace(P2, 1, d))
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.warns(UserWarning, match=r"c\.jsonl:2: skipping unterminated") as rec:
             torn = TraceCache(path)
         assert len(rec) == 1
         assert torn.stats()["records"] == 1 and torn.get(2, 1, 4).value == -26
-        torn.put(trace(P2, 1, 7))
-        torn.put(trace(P2, 1, 8))
+        with torn:
+            torn.put(trace(P2, 1, 7))
+            torn.put(trace(P2, 1, 8))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reloaded = TraceCache(path)
@@ -468,10 +495,10 @@ class TestTraceCache:
 
     def test_stats_and_verify(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TraceCache(path)
-        for d in (4, 7):
-            cache.put(trace(P2, 1, d))
-        cache.put(trace(P3, 1, 8))
+        with TraceCache(path) as cache:
+            for d in (4, 7):
+                cache.put(trace(P2, 1, d))
+            cache.put(trace(P3, 1, 8))
         stats = cache.stats()
         assert stats["records"] == 3 and stats["by_level"] == {2: 2, 3: 1}
         report = cache.verify()
@@ -484,8 +511,8 @@ class TestTraceCache:
         bad = replace(rec, value=rec.value + 1)
         _state(P2).trace_cache[(1, 39, "gkz")] = bad
         try:
-            cache = TraceCache(tmp_path / "c.jsonl")
-            cache.put(bad)
+            with TraceCache(tmp_path / "c.jsonl") as cache:
+                cache.put(bad)
             report = cache.verify()
         finally:
             reset_state()
@@ -505,8 +532,8 @@ class TestTraceCache:
             key = next(iter(st.value_cache))
             re, im = st.value_cache[key]
             st.value_cache[key] = (re + (12 << key[1]), im)
-            cache = TraceCache(tmp_path / "c.jsonl")
-            assert trace(P2, 1, 23, cache=cache).value == -82
+            with TraceCache(tmp_path / "c.jsonl") as cache:
+                assert trace(P2, 1, 23, cache=cache).value == -82
             report = cache.verify()
         finally:
             reset_state()
@@ -516,8 +543,8 @@ class TestTraceCache:
 
     def test_trace_uses_cache(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        cache = TraceCache(path)
-        first = trace(P2, 1, 79, cache=cache, memo=False)
+        with TraceCache(path) as cache:
+            first = trace(P2, 1, 79, cache=cache, memo=False)
         assert first.cached is False
         again = trace(P2, 1, 79, cache=TraceCache(path), memo=False)
         assert again.cached is True and again.value == first.value
@@ -525,14 +552,16 @@ class TestTraceCache:
     def test_memo_hit_is_written_to_the_cache(self, tmp_path):
         path = tmp_path / "c.jsonl"
         first = trace(P2, 1, 4)
-        again = trace(P2, 1, 4, cache=TraceCache(path))
+        with TraceCache(path) as cache:
+            again = trace(P2, 1, 4, cache=cache)
         assert again is first
         assert TraceCache(path).get(2, 1, 4).value == first.value
         assert len(path.read_text().splitlines()) == 1
 
     def test_cache_hit_is_not_written_back(self, tmp_path, monkeypatch):
         path = tmp_path / "c.jsonl"
-        TraceCache(path).put(trace(P2, 1, 4))
+        with TraceCache(path) as cache:
+            cache.put(trace(P2, 1, 4))
         reset_state()
         cache = TraceCache(path)
         monkeypatch.setattr(cache, "put", lambda rec: pytest.fail("put of a cache hit"))
