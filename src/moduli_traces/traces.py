@@ -8,12 +8,13 @@ Fricke-fixed classes need no special casing.
 Traces realize the weight-3/2 basis coefficients through the divisor-sum
 relation t_m(d) = -sum_{n | m} n B(n^2, d), which Moebius inversion turns
 into B(m^2, d) = -(1/m) sum_{n | m} mu(m/n) t_n(d).  Exact divisibility by m
-is asserted on every call; the identity suite then validates the realization
-against the Hecke action on coefficient tables.
+is checked on every call, failing with ArithmeticError; the identity suite
+then validates the realization against the Hecke action on coefficient tables.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -101,37 +102,17 @@ class _LevelState:
         self.trace_cache: dict[tuple[int, int, str], TraceRecord] = {}
         self.lock = threading.RLock()
 
-    def hauptmodul(self, min_order: int) -> Hauptmodul:
+    def series(self, terms: int, D: int) -> tuple[Hauptmodul, list[int]]:
+        """(Hauptmodul, P_D), sized here alone: the series at the next power of two
+        at or above max(terms, D) + 2, the Faber list to the next one at or above D.
+        Both are exact, so growing either changes no value read from it."""
         with self.lock:
-            if self.haupt is None or self.haupt.order < min_order:
-                # the next power of two at or above min_order: the series is
-                # exact, so growing it changes no value read from it
-                self.haupt = build_hauptmodul(self.level, 1 << (min_order - 1).bit_length())
-            return self.haupt
-
-    def faber_poly(self, D: int) -> list[int]:
-        with self.lock:
+            order = max(terms, D) + 2
+            if self.haupt is None or self.haupt.order < order:
+                self.haupt = build_hauptmodul(self.level, 1 << (order - 1).bit_length())
             if D >= len(self.polys):
-                dmax = 1 << (D - 1).bit_length()
-                self.polys = faber_polys(self.hauptmodul(dmax + 2), dmax)
-            return self.polys[D]
-
-    def classes(self, d: int, method: str) -> list[HeegnerClass]:
-        with self.lock:
-            key = (d, method)
-            if key not in self.classes_cache:
-                self.classes_cache[key] = enumerate_classes(self.level, d, method)
-            return self.classes_cache[key]
-
-    def cm_value(self, form, ctx: PrecisionContext, values: dict) -> Fixed:
-        """j_p*(alpha_form) in fixed point at exactly (ctx.bits, ctx.terms),
-        memoized in values: value_cache, or a dict private to one call."""
-        key = (form.as_tuple(), fixed_width(ctx.bits), ctx.terms)
-        with self.lock:
-            if key not in values:
-                h = self.hauptmodul(ctx.terms + 2)
-                values[key] = horner_in_q(h.series, cm_point_q(form, ctx.bits), ctx.terms, ctx.bits)
-            return values[key]
+                self.polys = faber_polys(self.haupt, 1 << (D - 1).bit_length())
+            return self.haupt, self.polys[D]
 
 
 _STATES: dict[int, _LevelState] = {}
@@ -155,6 +136,50 @@ def reset_state():
 # traces and duality coefficients
 
 
+def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass],
+               ctx0: PrecisionContext | None, values: dict, method: str) -> TraceRecord:
+    """Sum P_D(j_p*) over the classes of discriminant -d and certify the integer.
+
+    Classes are summed in conjugate beta-pairs (real parts, doubled off the
+    symmetric roots), weighted 1/omega, and halved by the index-2 mass factor
+    converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The sum is one
+    fixed-point integer with the weights mult/(2 omega) scaled by 12, which
+    makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
+    distinct evaluation form (Fricke pairs share one), so each is evaluated once
+    per (W, terms) into values: value_cache, or a dict private to one call.
+    """
+    p = st.level.p
+    weights: dict[QuadForm, int] = {}
+    for cl in classes:
+        if cl.beta > p:
+            continue
+        if 6 % cl.omega:
+            raise ArithmeticError(
+                f"class {cl.sl2_rep.as_tuple()} line {cl.line} of d={d} at "
+                f"p={p} has stabilizer order {cl.omega}, not a divisor of 6"
+            )
+        mult = 1 if cl.beta % p == 0 else 2  # beta = -beta mod 2p
+        weights[cl.eval_form] = weights.get(cl.eval_form, 0) + 6 * mult // cl.omega
+    ctx = plan_precision(d, classes, ctx0, degree=D)
+
+    def compute(c: PrecisionContext) -> Fraction:
+        h, poly = st.series(c.terms, D)
+        W = fixed_width(c.bits)
+        total = 0
+        for form, w in weights.items():
+            key = (form.as_tuple(), W, c.terms)
+            with st.lock:
+                if key not in values:
+                    values[key] = horner_in_q(h.series, cm_point_q(form, c.bits), c.terms, c.bits)
+            total += w * horner_poly(poly, values[key], c.bits)[0]
+        return Fraction(total, 12 << W)
+
+    rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
+    return TraceRecord(p=p, D=D, d=d, value=rounded.value, bits=rounded.bits_used,
+                       terms=rounded.terms_used, method=method, class_count=len(classes),
+                       residual=rounded.residual)
+
+
 def trace(
     p,
     D: int,
@@ -166,12 +191,10 @@ def trace(
 ) -> TraceRecord:
     """The generalized trace t_D^{(p)}(d), certified as an exact integer.
 
-    Classes are summed in conjugate beta-pairs (real parts, doubled off the
-    symmetric roots), weighted 1/omega, and halved by the index-2 mass factor
-    converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The sum is one
-    fixed-point integer with the weights mult/(2 omega) scaled by 12, which
-    makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
-    distinct evaluation form (Fricke pairs share one), so each is evaluated once.
+    Resolved in one order: the per-level memo, then `cache`, then
+    `_class_sum`, whose record the memo keeps.  A memo hit and a computed
+    record reach the one `cache.put`; a cache hit gets its class count and is
+    not written back.  `_LevelState.series` alone sizes j_p* and P_D.
     memo=False, like ctx0, reads and keeps no memoized classes, CM values or record.
     """
     level = _as_level(p)
@@ -182,58 +205,25 @@ def trace(
     st = _state(level)
     key = (D, d, method)
     memo = memo and ctx0 is None
-    if memo:
-        with st.lock:
-            rec = st.trace_cache.get(key)
-        if rec is not None:
-            if cache is not None:
-                cache.put(rec)  # memo records are computed here, never cache hits
-            return rec
-    if cache is not None:
+    # without the memo, classes, CM values and the record live in fresh dicts
+    classes, values, records = (
+        (st.classes_cache, st.value_cache, st.trace_cache) if memo else ({}, {}, {})
+    )
+    with st.lock:
+        rec = records.get(key)
+    if rec is None and cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
             return replace(hit, class_count=class_count(level, d))
-
-    classes = st.classes(d, method) if memo else enumerate_classes(level, d, method)
-    values = st.value_cache if memo else {}
-    ctx = plan_precision(d, classes, ctx0, degree=D)
-    st.hauptmodul(ctx.terms + 2)  # at the CM order, before faber_poly asks for less
-    poly = st.faber_poly(D)
-    weights: dict[QuadForm, int] = {}
-    for cl in classes:
-        if cl.beta > level.p:
-            continue
-        if 6 % cl.omega:
-            raise ArithmeticError(
-                f"class {cl.sl2_rep.as_tuple()} line {cl.line} of d={d} at "
-                f"p={level.p} has stabilizer order {cl.omega}, not a divisor of 6"
-            )
-        mult = 1 if cl.beta % level.p == 0 else 2  # beta = -beta mod 2p
-        weights[cl.eval_form] = weights.get(cl.eval_form, 0) + 6 * mult // cl.omega
-
-    def compute(c: PrecisionContext) -> Fraction:
-        total = 0
-        for form, w in weights.items():
-            total += w * horner_poly(poly, st.cm_value(form, c, values), c.bits)[0]
-        return Fraction(total, 12 << fixed_width(c.bits))
-
-    rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
-    rec = TraceRecord(
-        p=level.p,
-        D=D,
-        d=d,
-        value=rounded.value,
-        bits=rounded.bits_used,
-        terms=rounded.terms_used,
-        method=method,
-        class_count=len(classes),
-        residual=rounded.residual,
-    )
-    if memo:
+    if rec is None:
         with st.lock:
-            st.trace_cache[key] = rec
+            if (d, method) not in classes:
+                classes[(d, method)] = enumerate_classes(level, d, method)
+        rec = _class_sum(st, D, d, classes[(d, method)], ctx0, values, method)
+        with st.lock:
+            records[key] = rec
     if cache is not None:
-        cache.put(rec)
+        cache.put(rec)  # a memo record was computed here, never read from a cache
     return rec
 
 
@@ -521,9 +511,11 @@ class TraceCache:
     """JSON Lines cache keyed by (p, D, d); puts are idempotent, conflicts abort.
 
     A record counts once its newline is written: an unterminated last line, left
-    by a writer killed mid-line, is skipped on load and cut by the next put.
-    put opens the file for appending at its first write, so a cache only read
-    is never opened for writing; close() or a with block releases it.
+    by a writer killed mid-line, is skipped on load and cut by the first put,
+    unless a newline follows it by then (another writer cut it and appended).
+    That check and the cut hold an exclusive flock, so two writers never both
+    cut.  put opens the file for appending at its first write, so a cache only
+    read is never opened for writing; close() or a with block releases it.
     """
 
     def __init__(self, path):
@@ -598,9 +590,16 @@ class TraceCache:
                 }
             )
             if self._fd is None:
-                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
                 if self._torn_at is not None:
-                    os.ftruncate(self._fd, self._torn_at)
+                    fcntl.flock(self._fd, fcntl.LOCK_EX)  # check and cut as one step
+                    try:
+                        end = os.fstat(self._fd).st_size
+                        tail = os.pread(self._fd, max(end - self._torn_at, 0), self._torn_at)
+                        if tail and b"\n" not in tail:
+                            os.ftruncate(self._fd, self._torn_at)
+                    finally:
+                        fcntl.flock(self._fd, fcntl.LOCK_UN)
                     self._torn_at = None
             data = (line + "\n").encode()
             if os.write(self._fd, data) != len(data):  # one write: a line is never split

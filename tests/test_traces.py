@@ -4,9 +4,12 @@ and the persistent cache."""
 import json
 import os
 import random
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -15,7 +18,7 @@ import oracles
 from moduli_traces import traces as traces_mod
 from moduli_traces.arith import PrimeLevel, divisors, is_admissible, kronecker
 from moduli_traces.cm_eval import PrecisionContext
-from moduli_traces.hauptmodul import build_hauptmodul
+from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
     InadmissibleDiscriminant,
     QuadForm,
@@ -28,6 +31,7 @@ from moduli_traces.traces import (
     CoeffTable,
     HypothesisViolation,
     TraceCache,
+    TraceRecord,
     _state,
     a_coeff,
     b_coeff,
@@ -160,6 +164,42 @@ class TestTrace:
         rec = trace(P2, 1, 7, ctx0=PrecisionContext(bits=640, terms=256))
         assert rec.bits >= 640 and rec.terms >= 256
         assert rec.value == -23
+
+
+class TestSeriesSizing:
+    """_LevelState.series sizes the Hauptmodul and the Faber list in one place."""
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_each_hauptmodul_build_is_a_larger_power_of_two(self, monkeypatch, p):
+        level = PrimeLevel(p)
+        orders, plans = [], []
+        build, plan = traces_mod.build_hauptmodul, traces_mod.plan_precision
+        monkeypatch.setattr(traces_mod, "build_hauptmodul",
+                            lambda lv, N: orders.append(N) or build(lv, N))
+        monkeypatch.setattr(traces_mod, "plan_precision",
+                            lambda *a, **kw: plans.append(plan(*a, **kw)) or plans[-1])
+        reset_state()
+        try:
+            for d in range(1, 301):
+                if is_admissible(d, level):
+                    trace(level, 1, d)
+        finally:
+            reset_state()
+        assert orders and all(N & (N - 1) == 0 for N in orders)
+        assert all(a < b for a, b in zip(orders, orders[1:]))
+        # the first build already serves the CM evaluation: none is thrown away
+        assert orders[0] >= plans[0].terms + 2
+
+    def test_faber_list_runs_to_the_next_power_of_two(self):
+        reset_state()
+        try:
+            trace(P2, 15, 7)
+            polys = _state(P2).polys
+        finally:
+            reset_state()
+        want = faber_polys(build_hauptmodul(P2, 64), 16)
+        assert len(polys) == len(want) == 17
+        assert polys[:16] == want[:16]
 
 
 class TestBCoeff:
@@ -484,6 +524,78 @@ class TestTraceCache:
         assert reloaded.stats()["records"] == 3
         assert path.read_text().endswith("\n")
         assert len(path.read_text().splitlines()) == 3
+
+    def test_stale_torn_offset_keeps_another_writers_record(self, tmp_path):
+        # two caches load the same torn file; the second to write must not cut
+        # at its stale offset what the first appended after cutting the line
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            for d in (4, 7):
+                cache.put(trace(P2, 1, d))
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.warns(UserWarning, match="skipping unterminated"):
+            a = TraceCache(path)
+        with pytest.warns(UserWarning, match="skipping unterminated"):
+            b = TraceCache(path)
+        with a, b:
+            a.put(trace(P2, 1, 8))
+            b.put(trace(P2, 1, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = TraceCache(path)
+        assert reloaded.stats()["records"] == 3
+        assert all(reloaded.get(2, 1, d) is not None for d in (4, 8, 12))
+        assert len(path.read_text().splitlines()) == 3
+
+    WRITER = (
+        "import sys\n"
+        "from moduli_traces.traces import TraceCache, TraceRecord\n"
+        "cache = TraceCache(sys.argv[1])\n"
+        "print('loaded', flush=True)\n"
+        "sys.stdin.readline()\n"
+        "with cache:\n"
+        "    for d in range(int(sys.argv[2]), int(sys.argv[3])):\n"
+        "        cache.put(TraceRecord(p=2, D=1, d=d, value=7 * d, bits=128, terms=72,\n"
+        "                              method='gkz'))\n"
+    )
+
+    def test_two_processes_append_overlapping_keys(self, tmp_path):
+        # both writers load the file, torn last line included, before either
+        # writes; then they append 300 records each, 150 keys in common
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            cache.put(TraceRecord(p=2, D=1, d=1000, value=7000, bits=128, terms=72,
+                                  method="gkz"))
+        with path.open("a") as fh:
+            fh.write('{"p": 2, "D": 1, "d": 10')
+        src = Path(traces_mod.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        writers = [
+            subprocess.Popen([sys.executable, "-c", self.WRITER, str(path), lo, hi], env=env,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for lo, hi in (("1", "301"), ("151", "451"))
+        ]
+        try:
+            for w in writers:
+                assert w.stdout.readline() == "loaded\n"
+            for w in writers:
+                w.stdin.write("go\n")
+                w.stdin.flush()
+            for w in writers:
+                w.communicate(timeout=60)
+                assert w.returncode == 0
+        finally:
+            for w in writers:
+                if w.poll() is None:
+                    w.kill()
+                    w.communicate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = TraceCache(path)  # a conflicting value would raise here
+        assert merged.stats()["records"] == 451
+        assert all(merged.get(2, 1, d).value == 7 * d for d in (*range(1, 451), 1000))
 
     def test_conflicting_lines_abort_on_load(self, tmp_path):
         path = tmp_path / "c.jsonl"
