@@ -1,4 +1,4 @@
-"""High-precision evaluation of q-expansions at CM points, in fixed point.
+"""High-precision evaluation of j_p* at CM points, in fixed point.
 
 The evaluation kernel works on W-bit fixed-point complex numbers: a pair
 (re, im) of Python ints stands for (re + i im) 2^-W, with
@@ -10,16 +10,30 @@ angle b/a mod 2 at prec rounded up to 64 bits, each a function of its key
 alone.  A class sum leaves as an exact rational, which `round_to_integer`
 rounds with no further error.
 
-Error model, absolute, for one class value P_D(j(alpha)):
-- the Horner sum over c_v, ..., c_terms is off by at most (terms - v + 1) 2^-W,
-  because every step truncates once and |q| < 1 damps earlier errors;
-- the factor q^-1 scales that error by |q^-1| = e^{pi sqrt(d)/a};
-- the Faber Horner scales it by |P_D'(x)|, about D |x|^{D-1}, and adds one
-  2^-W per step;
-- rounding q and q^-1 to 2^-W adds errors of the same order.
+`eta_hauptmodul` evaluates j_p* from its eta product: with
+E(x) = prod (1 - x^n) summed by the pentagonal number theorem,
+r = E(q)/E(q^p) and e = 24/(p-1), f_p = q^-1 r^e and j_p* = f_p + C/f_p + e,
+where C q r^-e = C/f_p.  `horner_in_q` sums a q-series term by term; it is
+the Horner cross-check of that kernel.
+
+Error model, for one class value P_D(j_p*(alpha)):
+- each pentagonal sum leaves out a tail of at most |x|^(N+1)/(1 - |x|), with
+  N = terms at x = q and terms // p at x = q^p; the plan makes
+  |q|^terms < 2^-bits.  The walk also stops once a power lies within two
+  units of 0, where the terms left are the size of the truncation errors;
+- every multiply truncates once, and every complex divide floor-divides once,
+  each off by less than 2^-W per component; about four multiplies per pair of
+  pentagonal terms, a few for q^p and r^e;
+- r^e carries e times the relative error of r, e <= 24, and C/f_p the same
+  relative error as f_p;
+- the factor q^-1 scales the absolute error of r^e by
+  |q^-1| = e^{pi sqrt(d)/a}, so j_p* is off by a relative error of a few
+  e 2^-W / |E(q^p)|; rounding q and q^-1 to 2^-W adds errors of that order;
+- the Faber Horner scales the error of j_p* by |P_D'(x)|, about D |x|^{D-1},
+  and adds one 2^-W per step.
 `plan_precision` budgets for these: bits covers e^{2 pi D y_max} plus
 _GUARD_BITS, so the error stays near 2^-(_GUARD_BITS + FIXED_GUARD_BITS)
-times D (terms + 1).
+times e D.
 
 Correctness rests on an a-posteriori certificate: a sum counts once it lies
 within TOL of an integer; one that does not is recomputed with doubled bits
@@ -36,6 +50,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
+from .arith import PrimeLevel
 from .qforms import QuadForm, HeegnerClass
 from .qseries import TruncatedLaurentSeries, WindowError
 
@@ -49,7 +64,14 @@ Fixed = tuple[int, int]  # (re, im): the complex number (re + i im) 2^-W
 
 
 class PrecisionFailure(ArithmeticError):
-    """A sum refused to round to an integer after all escalations."""
+    """A sum refused to round to an integer after all escalations.
+
+    `attempts` holds (bits, terms, residual) for each plan tried, in order.
+    """
+
+    def __init__(self, message: str, attempts: tuple[tuple[int, int, float], ...] = ()):
+        super().__init__(message)
+        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -130,8 +152,9 @@ def horner_in_q(
 ) -> Fixed:
     """sum_{n=v}^{terms} c_n q^n in W-bit fixed point; q is (q, q^-1) from cm_point_q.
 
-    Horner over c_terms, ..., c_v (off by at most (terms - v + 1) 2^-W), then
-    |v| factors q^-1 (v < 0) or q (v > 0); see the module docstring.
+    The Horner cross-check of `eta_hauptmodul`, which traces use: Horner over
+    c_terms, ..., c_v (off by at most (terms - v + 1) 2^-W, since |q| < 1),
+    then |v| factors q^-1 (v < 0) or q (v > 0).
     """
     if series.order <= terms:
         raise WindowError(
@@ -146,6 +169,74 @@ def horner_in_q(
     for _ in range(abs(series.v)):
         sr, si = (sr * fr - si * fi) >> W, (sr * fi + si * fr) >> W
     return sr, si
+
+
+def _mul(x: Fixed, y: Fixed, W: int) -> Fixed:
+    return (x[0] * y[0] - x[1] * y[1]) >> W, (x[0] * y[1] + x[1] * y[0]) >> W
+
+
+def _div(x: Fixed, y: Fixed, W: int) -> Fixed:
+    """x / y, floor-divided once per component."""
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) << W) // n, ((x[1] * y[0] - x[0] * y[1]) << W) // n
+
+
+def _pow(x: Fixed, e: int, W: int) -> Fixed:
+    """x^e for e >= 1, by binary powering."""
+    r = None
+    while True:
+        if e & 1:
+            r = x if r is None else _mul(r, x, W)
+        e >>= 1
+        if not e:
+            return r
+        x = _mul(x, x, W)
+
+
+def _euler(x: Fixed, n: int, W: int) -> Fixed:
+    """prod (1 - x^m) = 1 + sum_k (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2}), exponents <= n.
+
+    From x^{k(3k-1)/2} the walk multiplies by x^k, then by x^{2k+1} to reach
+    x^{(k+1)(3k+2)/2}; it stops once a power lies within two units of 0.
+    """
+    # the multiplies are written out, as in horner_in_q: this loop is the hot path
+    xr, xi = x
+    x2r, x2i = (xr * xr - xi * xi) >> W, (xr * xi) >> (W - 1)
+    ar, ai = br, bi = xr, xi  # x^k and x^(2k-1)
+    cr, ci = sr, si = 1 << W, 0  # the last power walked to, and the sum
+    k, g = 1, 1  # g = k(3k-1)/2
+    while g <= n:
+        cr, ci = (cr * br - ci * bi) >> W, (cr * bi + ci * br) >> W  # x^g
+        if -2 <= cr <= 2 and -2 <= ci <= 2:
+            break
+        tr, ti = cr, ci
+        if g + k <= n:
+            cr, ci = (cr * ar - ci * ai) >> W, (cr * ai + ci * ar) >> W  # x^(g+k)
+            tr, ti = tr + cr, ti + ci
+        if k & 1:
+            sr, si = sr - tr, si - ti
+        else:
+            sr, si = sr + tr, si + ti
+        g += 3 * k + 1
+        k += 1
+        ar, ai = (ar * xr - ai * xi) >> W, (ar * xi + ai * xr) >> W
+        br, bi = (br * x2r - bi * x2i) >> W, (br * x2i + bi * x2r) >> W
+    return sr, si
+
+
+def eta_hauptmodul(level: PrimeLevel, q: tuple[Fixed, Fixed], terms: int, bits: int) -> Fixed:
+    """j_p* in W-bit fixed point from its eta product; q is (q, q^-1) from cm_point_q.
+
+    r = E(q)/E(q^p) with the pentagonal sums E to exponents terms and
+    terms // p, f_p = q^-1 r^e, and j_p* = f_p + C/f_p + e with
+    e = level.eta_exponent and C = level.fricke_const; see the module docstring.
+    """
+    W = fixed_width(bits)
+    x, x_inv = q
+    r = _div(_euler(x, terms, W), _euler(_pow(x, level.p, W), terms // level.p, W), W)
+    f = _mul(x_inv, _pow(r, level.eta_exponent, W), W)
+    g = _div((level.fricke_const << W, 0), f, W)  # C/f_p = C q r^-e
+    return f[0] + g[0] + (level.eta_exponent << W), f[1] + g[1]
 
 
 def horner_poly(poly: list[int], x: Fixed, bits: int) -> Fixed:
@@ -204,17 +295,19 @@ def round_to_integer(
     signals a bug or an inadequate model, never a value to be silently
     rounded.
     """
-    attempts = 0
+    attempts: list[tuple[int, int, float]] = []
     while True:
         n = round(x)
         residual = float(abs(x - n))
         if residual <= TOL:
             return RoundedValue(n, residual, ctx.bits, ctx.terms)
-        if recompute is None or attempts >= MAX_RETRIES:
+        attempts.append((ctx.bits, ctx.terms, residual))
+        if recompute is None or len(attempts) > MAX_RETRIES:
+            tried = ", ".join(f"bits={b} terms={t} residual={r}" for b, t, r in attempts)
             raise PrecisionFailure(
-                f"residual {residual} above tolerance {TOL} after "
-                f"{attempts} escalations (bits={ctx.bits}, terms={ctx.terms})"
+                f"residual above tolerance {TOL} after {len(attempts) - 1} "
+                f"escalations: {tried}",
+                tuple(attempts),
             )
         ctx = ctx.escalate()
         x = recompute(ctx)
-        attempts += 1

@@ -38,9 +38,10 @@ from .arith import (
 from .cm_eval import (
     Fixed,
     PrecisionContext,
+    PrecisionFailure,
     cm_point_q,
+    eta_hauptmodul,
     fixed_width,
-    horner_in_q,
     horner_poly,
     plan_precision,
     round_to_integer,
@@ -102,17 +103,17 @@ class _LevelState:
         self.trace_cache: dict[tuple[int, int, str], TraceRecord] = {}
         self.lock = threading.RLock()
 
-    def series(self, terms: int, D: int) -> tuple[Hauptmodul, list[int]]:
-        """(Hauptmodul, P_D), sized here alone: the series at the next power of two
-        at or above max(terms, D) + 2, the Faber list to the next one at or above D.
+    def faber_poly(self, D: int) -> list[int]:
+        """P_D, sized here alone: the Hauptmodul series at the next power of two at
+        or above D + 2, the Faber list to the next one at or above D.  CM values
+        come from the eta product, so the series feeds only the Faber list.
         Both are exact, so growing either changes no value read from it."""
         with self.lock:
-            order = max(terms, D) + 2
-            if self.haupt is None or self.haupt.order < order:
-                self.haupt = build_hauptmodul(self.level, 1 << (order - 1).bit_length())
+            if self.haupt is None or self.haupt.order < D + 2:
+                self.haupt = build_hauptmodul(self.level, 1 << (D + 1).bit_length())
             if D >= len(self.polys):
                 self.polys = faber_polys(self.haupt, 1 << (D - 1).bit_length())
-            return self.haupt, self.polys[D]
+            return self.polys[D]
 
 
 _STATES: dict[int, _LevelState] = {}
@@ -162,19 +163,26 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass],
         weights[cl.eval_form] = weights.get(cl.eval_form, 0) + 6 * mult // cl.omega
     ctx = plan_precision(d, classes, ctx0, degree=D)
 
+    poly = st.faber_poly(D)
+
     def compute(c: PrecisionContext) -> Fraction:
-        h, poly = st.series(c.terms, D)
         W = fixed_width(c.bits)
         total = 0
         for form, w in weights.items():
             key = (form.as_tuple(), W, c.terms)
             with st.lock:
                 if key not in values:
-                    values[key] = horner_in_q(h.series, cm_point_q(form, c.bits), c.terms, c.bits)
+                    values[key] = eta_hauptmodul(st.level, cm_point_q(form, c.bits),
+                                                 c.terms, c.bits)
             total += w * horner_poly(poly, values[key], c.bits)[0]
         return Fraction(total, 12 << W)
 
-    rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
+    try:
+        rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
+    except PrecisionFailure as exc:
+        raise PrecisionFailure(
+            f"t_{D}({d}) at p={p} (class count {len(classes)}): {exc}", exc.attempts
+        ) from exc
     return TraceRecord(p=p, D=D, d=d, value=rounded.value, bits=rounded.bits_used,
                        terms=rounded.terms_used, method=method, class_count=len(classes),
                        residual=rounded.residual)
@@ -194,7 +202,7 @@ def trace(
     Resolved in one order: the per-level memo, then `cache`, then
     `_class_sum`, whose record the memo keeps.  A memo hit and a computed
     record reach the one `cache.put`; a cache hit gets its class count and is
-    not written back.  `_LevelState.series` alone sizes j_p* and P_D.
+    not written back.  `_LevelState.faber_poly` alone sizes j_p* and P_D.
     memo=False, like ctx0, reads and keeps no memoized classes, CM values or record.
     """
     level = _as_level(p)
@@ -507,22 +515,37 @@ def _int_field(obj: dict, key: str) -> int:
     raise ValueError(f"{key} is {v!r}, not an integer")
 
 
+def _cut_torn_line(fd: int):
+    """Truncate the file after its last newline, if anything follows it."""
+    cut = os.fstat(fd).st_size
+    if not cut or os.pread(fd, 1, cut - 1) == b"\n":
+        return
+    while cut:
+        start = max(cut - 4096, 0)
+        nl = os.pread(fd, cut - start, start).rfind(b"\n")
+        if nl >= 0:
+            cut = start + nl + 1
+            break
+        cut = start
+    os.ftruncate(fd, cut)
+
+
 class TraceCache:
     """JSON Lines cache keyed by (p, D, d); puts are idempotent, conflicts abort.
 
     A record counts once its newline is written: an unterminated last line, left
-    by a writer killed mid-line, is skipped on load and cut by the first put,
-    unless a newline follows it by then (another writer cut it and appended).
-    That check and the cut hold an exclusive flock, so two writers never both
-    cut.  put opens the file for appending at its first write, so a cache only
-    read is never opened for writing; close() or a with block releases it.
+    by a writer killed mid-line, is skipped on load.  Every put, under an
+    exclusive flock, cuts whatever follows the file's last newline and then
+    appends its line, so a fragment torn after this cache loaded is cut too, and
+    two writers never cut each other's records.  put opens the file for appending
+    at its first write, so a cache only read is never opened for writing;
+    close() or a with block releases it.
     """
 
     def __init__(self, path):
         self.path = Path(path)
         self._mem: dict[tuple[int, int, int], TraceRecord] = {}
         self._lock = threading.Lock()
-        self._torn_at: int | None = None  # byte offset of an unterminated last line
         self._fd: int | None = None  # append descriptor, opened by the first write
         if self.path.exists():
             self._load()
@@ -531,7 +554,6 @@ class TraceCache:
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):  # only the last line can lack one
-                    self._torn_at = self.path.stat().st_size - len(line.encode())
                     warnings.warn(f"{self.path}:{lineno}: skipping unterminated last line")
                     break
                 line = line.strip()
@@ -591,19 +613,14 @@ class TraceCache:
             )
             if self._fd is None:
                 self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-                if self._torn_at is not None:
-                    fcntl.flock(self._fd, fcntl.LOCK_EX)  # check and cut as one step
-                    try:
-                        end = os.fstat(self._fd).st_size
-                        tail = os.pread(self._fd, max(end - self._torn_at, 0), self._torn_at)
-                        if tail and b"\n" not in tail:
-                            os.ftruncate(self._fd, self._torn_at)
-                    finally:
-                        fcntl.flock(self._fd, fcntl.LOCK_UN)
-                    self._torn_at = None
             data = (line + "\n").encode()
-            if os.write(self._fd, data) != len(data):  # one write: a line is never split
-                raise OSError(f"{self.path}: short write, the last line may be torn")
+            fcntl.flock(self._fd, fcntl.LOCK_EX)  # check, cut and append as one step
+            try:
+                _cut_torn_line(self._fd)
+                if os.write(self._fd, data) != len(data):  # one write: a line is never split
+                    raise OSError(f"{self.path}: short write, the last line may be torn")
+            finally:
+                fcntl.flock(self._fd, fcntl.LOCK_UN)
             self._mem[key] = rec
 
     def close(self):

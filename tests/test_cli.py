@@ -13,6 +13,7 @@ import pytest
 
 from moduli_traces import cli, qforms, traces
 from moduli_traces.arith import PrimeLevel
+from moduli_traces.cm_eval import fixed_width
 from moduli_traces.traces import reset_state
 
 
@@ -71,6 +72,28 @@ class TestTrace:
         obj = json.loads(out)
         assert obj["cached"] is True and obj["trace"] == "-26"
         assert obj["residual"] is None  # the cache stores no residual
+
+    def test_precision_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a kernel off by 1/2 keeps t(4) 1/8 off an integer at every plan
+        kernel = traces.eta_hauptmodul
+
+        def off_by_half(level, q, terms, bits):
+            re, im = kernel(level, q, terms, bits)
+            return re + (1 << (fixed_width(bits) - 1)), im
+
+        monkeypatch.setattr(traces, "eta_hauptmodul", off_by_half)
+        reset_state()
+        try:
+            code, out, err = run(capsys, "trace", "--p", "2", "--d", "4",
+                                 "--cache", str(tmp_path / "c.jsonl"))
+        finally:
+            reset_state()
+        assert code == 3 and out == ""
+        [line] = err.splitlines()
+        msg = json.loads(line)["error"]
+        assert msg.startswith("t_1(4) at p=2 (class count 1): ")
+        assert msg.count("residual=") == 5
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_inadmissible_exits_2(self, tmp_path, capsys):
         code, *_ = run(capsys, "trace", "--p", "2", "--d", "5",

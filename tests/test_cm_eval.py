@@ -14,6 +14,7 @@ from moduli_traces.cm_eval import (
     PrecisionContext,
     PrecisionFailure,
     cm_point_q,
+    eta_hauptmodul,
     fixed_width,
     horner_in_q,
     horner_poly,
@@ -32,13 +33,22 @@ def to_mpc(z, bits):
     return mpmath.mpc(mpmath.mpf(z[0]), mpmath.mpf(z[1])) / 2 ** fixed_width(bits)
 
 
-def assert_matches_oracle(series, F, ctx):
-    """The kernel's value at F agrees with the oracle to 2^-(bits-8), relative to max(1, |value|)."""
-    got = horner_in_q(series, cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
-    ref = oracles.horner_in_q(series, oracles.cm_point_q(F, ctx.bits), ctx.terms, ctx.bits)
-    with mpmath.workprec(fixed_width(ctx.bits)):
-        err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
-        assert err <= mpmath.mpf(2) ** -(ctx.bits - 8), (ctx, F)
+def assert_matches_oracle(level, series, F, *ctxs):
+    """j_p* at F, from the eta kernel and from the Horner cross-check, agrees at
+    each of ctxs with the oracle's Horner sum over series to 2^-(bits-8),
+    relative to max(1, |value|).  The oracle runs once, at the last and largest
+    plan, with fixed_width(bits) + 64 bits: it is at least as precise, and its
+    longer tail checks the kernels' truncation at the smaller plans too."""
+    top = ctxs[-1]
+    prec = fixed_width(top.bits) + 64
+    ref = oracles.horner_in_q(series, oracles.cm_point_q(F, prec), top.terms, prec)
+    for ctx in ctxs:
+        q = cm_point_q(F, ctx.bits)
+        for got in (eta_hauptmodul(level, q, ctx.terms, ctx.bits),
+                    horner_in_q(series, q, ctx.terms, ctx.bits)):
+            with mpmath.workprec(prec):
+                err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
+                assert err <= mpmath.mpf(2) ** -(ctx.bits - 8), (ctx, F)
 
 
 def eval_at(series, F, ctx):
@@ -107,9 +117,11 @@ class TestEvalAtCM:
         h = build_hauptmodul(P2, 120)
         ctx = PrecisionContext(bits=192, terms=100)
         val = eval_at(h.series, QuadForm(2, 2, 1), ctx)
+        eta = eta_hauptmodul(P2, cm_point_q(QuadForm(2, 2, 1), ctx.bits), ctx.terms, ctx.bits)
         with mpmath.workprec(192):
-            assert abs(val.imag) < mpmath.mpf(2) ** -96
-            assert abs(val.real + 104) < 1e-30
+            for v in (val, to_mpc(eta, ctx.bits)):
+                assert abs(v.imag) < mpmath.mpf(2) ** -96
+                assert abs(v.real + 104) < 1e-30
 
     def test_window_contract(self):
         series = TruncatedLaurentSeries(-1, [1] * 10)
@@ -148,12 +160,13 @@ class TestEvalAtCM:
 
 
 class TestFixedPointKernel:
-    """The fixed-point kernel against the mpmath-object oracle."""
+    """The fixed-point kernels against the mpmath-object oracle."""
 
-    @pytest.mark.parametrize("p", [2, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_cm_values_match_oracle(self, p):
-        # every class with d <= 300, at its planned precision: the fixed-point
-        # value agrees with the oracle to 2^-(bits-8), relative to max(1, |value|)
+        # every class with d <= 300, at its planned precision and at the first
+        # escalation: both kernels agree with the oracle to 2^-(bits-8),
+        # relative to max(1, |value|)
         level = PrimeLevel(p)
         series = build_hauptmodul(level, 1024).series
         checked = 0
@@ -162,9 +175,9 @@ class TestFixedPointKernel:
                 continue
             classes = enumerate_classes(level, d)
             ctx = plan_precision(d, classes)
-            for cl in classes:
-                assert_matches_oracle(series, cl.eval_form, ctx)
-                checked += 1
+            for form in {cl.eval_form for cl in classes}:  # Fricke pairs share a form
+                assert_matches_oracle(level, series, form, ctx, ctx.escalate())
+            checked += len(classes)
         assert checked > 800
 
     @pytest.mark.parametrize("p", [2, 13])
@@ -178,9 +191,8 @@ class TestFixedPointKernel:
                 continue
             classes = enumerate_classes(level, d)
             up = plan_precision(d, classes).escalate()
-            for ctx in (up, up.escalate()):
-                for cl in classes:
-                    assert_matches_oracle(series, cl.eval_form, ctx)
+            for form in {cl.eval_form for cl in classes}:
+                assert_matches_oracle(level, series, form, up, up.escalate())
 
     def test_faber_horner_matches_oracle(self):
         h = build_hauptmodul(P2, 200)
@@ -198,7 +210,7 @@ class TestFixedPointKernel:
     @pytest.mark.parametrize("p", [2, 13])
     def test_traces_identical_to_oracle_and_stable_under_escalation(self, p):
         level = PrimeLevel(p)
-        for D in (1, 5, 15):
+        for D in (1, 2, 3, 4, 5, 15):
             for d in range(1, 100):
                 if not is_admissible(d, level):
                     continue

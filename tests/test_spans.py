@@ -4,7 +4,9 @@ bench/spans.py wraps package functions by name and reads their arguments by
 parameter name.  A renamed parameter only adds a note and leaves its counter at
 zero, which bench/test_bench.py does not see.  Tracer.install() rebinds module
 globals, so the traced commands run in a fresh interpreter; bench/ is only
-read, and -B keeps it free of bytecode files.
+read, and -B keeps it free of bytecode files.  Traces evaluate CM values with
+cm_eval.eta_hauptmodul, so the script calls the Horner cross-check
+cm_eval.horner_in_q once itself, through the name the tracer rebinds.
 """
 
 import json
@@ -31,6 +33,11 @@ codes = [
     cli.main(["verify", "coeff-identities", "--p", "13", "--ell", "3", "--Dmax", "4",
               "--dmax", "30", "--out", work + "/v.json"]),
 ]
+from moduli_traces import cm_eval
+from moduli_traces.qforms import QuadForm
+from moduli_traces.qseries import TruncatedLaurentSeries
+cm_eval.horner_in_q(TruncatedLaurentSeries(-1, [1, 0, 0]),
+                    cm_eval.cm_point_q(QuadForm(1, 0, 1), 128), 1, 128)
 summary = tracer.summary()
 print(json.dumps({"codes": codes, "notes": tracer.notes, **summary["sum"], **summary["max"]}))
 """
@@ -55,3 +62,5 @@ def test_spans_bind_on_a_cold_table_and_identity_grid(tmp_path):
     assert out["codes"] == [0, 0]
     assert out["notes"] == []
     assert {k: out.get(k, 0) > 0 for k in COUNTS} == dict.fromkeys(COUNTS, True)
+    # the direct call above is the only one: neither command uses Horner in q
+    assert out["cm_eval.horner_in_q.calls"] == 1

@@ -17,7 +17,13 @@ import pytest
 import oracles
 from moduli_traces import traces as traces_mod
 from moduli_traces.arith import PrimeLevel, divisors, is_admissible, kronecker
-from moduli_traces.cm_eval import PrecisionContext
+from moduli_traces.cm_eval import (
+    MAX_RETRIES,
+    PrecisionContext,
+    PrecisionFailure,
+    fixed_width,
+    plan_precision,
+)
 from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
     InadmissibleDiscriminant,
@@ -165,30 +171,53 @@ class TestTrace:
         assert rec.bits >= 640 and rec.terms >= 256
         assert rec.value == -23
 
+    def test_precision_failure_names_its_input(self, monkeypatch):
+        # a kernel off by 1/2 moves t(4) = j_2*((-1+i)/2)/4 by 1/8 at every plan
+        kernel = traces_mod.eta_hauptmodul
+
+        def off_by_half(level, q, terms, bits):
+            re, im = kernel(level, q, terms, bits)
+            return re + (1 << (fixed_width(bits) - 1)), im
+
+        monkeypatch.setattr(traces_mod, "eta_hauptmodul", off_by_half)
+        with pytest.raises(PrecisionFailure) as info:
+            trace(P2, 1, 4, memo=False)
+        ctx = plan_precision(4, enumerate_classes(P2, 4))
+        attempts = info.value.attempts
+        assert [a[:2] for a in attempts] == [
+            (ctx.bits << i, ctx.terms << i) for i in range(MAX_RETRIES + 1)
+        ]
+        assert all(abs(r - 0.125) < 1e-9 for _, _, r in attempts)
+        msg = str(info.value)
+        assert msg.startswith("t_1(4) at p=2 (class count 1): ")
+        for bits, terms, residual in attempts:
+            assert f"bits={bits} terms={terms} residual={residual}" in msg
+
 
 class TestSeriesSizing:
-    """_LevelState.series sizes the Hauptmodul and the Faber list in one place."""
+    """_LevelState.faber_poly sizes the Hauptmodul and the Faber list in one place."""
 
     @pytest.mark.parametrize("p", [2, 13])
     def test_each_hauptmodul_build_is_a_larger_power_of_two(self, monkeypatch, p):
         level = PrimeLevel(p)
-        orders, plans = [], []
-        build, plan = traces_mod.build_hauptmodul, traces_mod.plan_precision
+        orders = []
+        build = traces_mod.build_hauptmodul
         monkeypatch.setattr(traces_mod, "build_hauptmodul",
                             lambda lv, N: orders.append(N) or build(lv, N))
-        monkeypatch.setattr(traces_mod, "plan_precision",
-                            lambda *a, **kw: plans.append(plan(*a, **kw)) or plans[-1])
         reset_state()
         try:
-            for d in range(1, 301):
-                if is_admissible(d, level):
-                    trace(level, 1, d)
+            for D, dmax in ((1, 300), (5, 30)):
+                for d in range(1, dmax + 1):
+                    if is_admissible(d, level):
+                        trace(level, D, d)
         finally:
             reset_state()
         assert orders and all(N & (N - 1) == 0 for N in orders)
         assert all(a < b for a, b in zip(orders, orders[1:]))
-        # the first build already serves the CM evaluation: none is thrown away
-        assert orders[0] >= plans[0].terms + 2
+        # the series feeds only the Faber list: the Faber degree sizes it, the
+        # plan's terms (up to 381 here) do not
+        assert orders[0] >= 1 + 2
+        assert orders == [4, 8]
 
     def test_faber_list_runs_to_the_next_power_of_two(self):
         reset_state()
@@ -546,6 +575,27 @@ class TestTraceCache:
         assert reloaded.stats()["records"] == 3
         assert all(reloaded.get(2, 1, d) is not None for d in (4, 8, 12))
         assert len(path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("fragment", ['{"p": 2, "D": 1, "d": 9',
+                                          '{"p": 2, "D": 1, "d": 9, "t": "' + "7" * 10000])
+    def test_fragment_torn_after_load_is_cut_by_the_next_put(self, tmp_path, fragment):
+        # the cache loads a whole file; another writer then dies mid-line
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            cache.put(trace(P2, 1, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = TraceCache(path)
+        with path.open("a") as fh:
+            fh.write(fragment)
+        with cache:
+            cache.put(trace(P2, 1, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = TraceCache(path)
+        assert reloaded.stats()["records"] == 2
+        assert [reloaded.get(2, 1, d).value for d in (4, 7)] == [-26, -23]
+        assert len(path.read_text().splitlines()) == 2
 
     WRITER = (
         "import sys\n"
