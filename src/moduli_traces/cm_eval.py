@@ -2,19 +2,36 @@
 
 The evaluation kernel works on W-bit fixed-point complex numbers: a pair
 (re, im) of Python ints stands for (re + i im) 2^-W, with
-W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  mpmath
-appears only where q and q^-1 enter (`cm_point_q`), and is imported at the
-first CM point, so a process that only reads cached traces never loads it; no
-mpf leaves the kernel.  e^t is shared per (d, a, prec) and cos/sin(pi b/a) per
-angle b/a mod 2 at prec rounded up to 64 bits, each a function of its key
-alone.  A class sum leaves as an exact rational, which `round_to_integer`
-rounds with no further error.
+W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  Python ints
+carry every value, q and q^-1 (`cm_point_q`) included: pi, ln 2, exp and
+cos/sin are integer series here, and no multiprecision library is imported.
+e^t is shared per (d, a, prec) and cos/sin(pi b/a) per angle b/a mod 2 at
+prec rounded up to 64 bits, each a function of its key alone.  A class sum
+leaves as an exact rational, which `round_to_integer` rounds with no further
+error.
 
 `eta_hauptmodul` evaluates j_p* from its eta product: with
 E(x) = prod (1 - x^n) summed by the pentagonal number theorem,
 r = E(q)/E(q^p) and e = 24/(p-1), f_p = q^-1 r^e and j_p* = f_p + C/f_p + e,
 where C q r^-e = C/f_p.  `horner_in_q` sums a q-series term by term; it is
 the Horner cross-check of that kernel.
+
+Error model for q and q^-1, in units of the last bit kept:
+- pi = 16 atan(1/5) - 4 atan(1/239) and ln 2 = 2 atanh(1/3) are summed at
+  B + 32 bits, B = P rounded up to a power of two, losing under 2 units of
+  2^-(B+32) per term, and truncated to P bits: each is off by less than
+  1 + 2^-14 units of 2^-P;
+- e^t = 2^k e^r with t = k ln 2 + r: t = pi isqrt(d 4^P) / a and r are off by
+  less than sqrt(d) + k + 6 units of 2^-P, at P = prec + s + 32 and
+  s = isqrt(prec) // 2.  e^r is the Taylor series at r 2^-s, N terms of
+  under 2 units each, squared s times, each squaring doubling the relative
+  error.  So e^t and e^-t at prec bits are off by a relative 2^-(prec+16)
+  plus 2 units, while sqrt(d) + k + 2N < 2^15;
+- cos/sin(pi b/a): b/a = m/2 + f exactly, |f| <= 1/4, and e^{i pi |f|} goes
+  the same way, by complex squarings (|e^{iy}| = 1 keeps the doubling), so
+  cos and sin at prec' are off by less than 1 + 2^-16 units of 2^-prec';
+- prec >= W + t/ln 2 + 16 and prec' >= prec, so q and q^-1, each product
+  truncated once to 2^-W, are off by less than 1 + 2^-15 units per component.
 
 Error model, for one class value P_D(j_p*(alpha)):
 - each pentagonal sum leaves out a tail of at most |x|^(N+1)/(1 - |x|), with
@@ -28,7 +45,7 @@ Error model, for one class value P_D(j_p*(alpha)):
   relative error as f_p;
 - the factor q^-1 scales the absolute error of r^e by
   |q^-1| = e^{pi sqrt(d)/a}, so j_p* is off by a relative error of a few
-  e 2^-W / |E(q^p)|; rounding q and q^-1 to 2^-W adds errors of that order;
+  e 2^-W / |E(q^p)|; the error of q and q^-1 adds terms of that order;
 - the Faber Horner scales the error of j_p* by |P_D'(x)|, about D |x|^{D-1},
   and adds one 2^-W per step.
 `plan_precision` budgets for these: bits covers e^{2 pi D y_max} plus
@@ -104,21 +121,83 @@ def fixed_width(bits: int) -> int:
     return bits + FIXED_GUARD_BITS
 
 
+@functools.lru_cache(maxsize=None)  # one entry per power of two in use
+def _pi_ln2_bucket(B: int) -> tuple[int, int]:
+    """(pi, ln 2) at B fraction bits, each summed at B + 32 bits and truncated:
+    pi = 16 atan(1/5) - 4 atan(1/239) (Machin) and ln 2 = 2 atanh(1/3)."""
+
+    def arc(n: int, sign: int) -> int:  # atan(1/n) for sign -1, atanh(1/n) for +1
+        power = total = (1 << (B + 32)) // n
+        k, n2, s = 3, n * n, sign
+        while power:
+            power //= n2
+            total += s * (power // k)
+            k, s = k + 2, s * sign
+        return total
+
+    return (16 * arc(5, -1) - 4 * arc(239, -1)) >> 32, arc(3, 1) >> 31
+
+
+def _pi_ln2(P: int) -> tuple[int, int]:
+    """(pi, ln 2) at P fraction bits, from the power-of-two bucket at or above P."""
+    B = 1 << max(P - 1, 255).bit_length()
+    pi, ln2 = _pi_ln2_bucket(B)
+    return pi >> (B - P), ln2 >> (B - P)
+
+
+def _exp_series(x: int, P: int, s: int, trig: bool) -> tuple[int, int]:
+    """(cosh y, sinh y), or (cos y, sin y) when trig, for y = x 2^-s and x in [0, 1)
+    at P fraction bits: the even and the odd Taylor terms, two per multiply by y^2
+    and each off by under 2 units, up to the first zero term."""
+    y2 = x * x >> (P + 2 * s)
+    even = odd = 1 << P  # odd sums y^(2j) / (2j + 1)!, multiplied by y at the end
+    a, n, sign = y2, 2, -1 if trig else 1
+    flip = sign
+    while a:
+        a //= n
+        even += flip * a
+        a //= n + 1
+        odd += flip * a
+        a = a * y2 >> P
+        n += 2
+        flip *= sign
+    return even, odd * x >> (P + s)
+
+
 @functools.lru_cache(maxsize=64)
-def _exp_t(d: int, a: int, prec: int):
-    """(e^t, e^-t) for t = pi sqrt(d)/a, as raw mpf at prec bits; shared by all b."""
-    from mpmath import libmp
-    sqrt_d = libmp.mpf_sqrt(libmp.from_int(d), prec)
-    t = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(prec), sqrt_d, prec), libmp.from_int(a), prec)
-    grow = libmp.mpf_exp(t, prec)
-    return grow, libmp.mpf_div(libmp.fone, grow, prec)
+def _exp_t(d: int, a: int, prec: int) -> tuple[int, int]:
+    """(e^t, e^-t) for t = pi sqrt(d)/a, as ints at prec fraction bits; shared by all b.
+
+    t = k ln 2 + r with 0 <= r < ln 2; e^r is summed at r 2^-s and squared s
+    times, at P = prec + s + 32 bits, and e^t = 2^k e^r.
+    """
+    s = math.isqrt(prec) // 2
+    P = prec + s + 32
+    pi, ln2 = _pi_ln2(P)
+    k, r = divmod(pi * math.isqrt(d << 2 * P) // (a << P), ln2)
+    e = sum(_exp_series(r, P, s, False))  # cosh r + sinh r
+    for _ in range(s):
+        e = e * e >> P
+    return e << k >> (P - prec), (1 << (P + prec)) // e >> k
 
 
 @functools.lru_cache(maxsize=4096)
-def _cos_sin_pi(num: int, den: int, prec: int):
-    """(cos, sin)(pi num/den) as raw mpf at prec bits."""
-    from mpmath import libmp
-    return libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec, "n"), prec)
+def _cos_sin_pi(num: int, den: int, prec: int) -> tuple[int, int]:
+    """(cos, sin)(pi num/den) as ints at prec fraction bits, for 0 <= num/den < 2.
+
+    num/den = m/2 + f exactly, with m = round(2 num/den) and |f| <= 1/4; e^{i pi |f|}
+    is summed at pi |f| 2^-s and squared s times, at P = prec + s + 32 bits,
+    then turned by i^m.
+    """
+    s = math.isqrt(prec) // 2
+    P = prec + s + 32
+    m = (4 * num + den) // (2 * den)
+    f = 2 * num - m * den  # f = (num/den - m/2) * 2 den
+    c, sn = _exp_series(_pi_ln2(P)[0] * abs(f) // (2 * den), P, s, True)
+    for _ in range(s):
+        c, sn = (c + sn) * (c - sn) >> P, c * sn >> (P - 1)
+    c, sn = c >> (P - prec), (-sn if f < 0 else sn) >> (P - prec)
+    return ((c, sn), (-sn, c), (-c, -sn), (sn, -c))[m % 4]
 
 
 def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
@@ -127,24 +206,20 @@ def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
     With t = pi sqrt(d)/a and u = pi b/a, q = exp(2 pi i alpha_F) is
     e^-t (cos u - i sin u) and q^-1 = e^t (cos u + i sin u).  q^-1 is formed
     from e^t itself, not as conj(q)/|q|^2, which underflows to 0 at large
-    heights.  Both are rounded once to 2^-W; e^t is evaluated with its
+    heights.  Both are truncated once to 2^-W; e^t is evaluated with its
     t/ln 2 integer bits on top of W, once per (d, a, prec); cos/sin u is
     evaluated once per angle b/a mod 2, at prec rounded up to 64 bits.
     """
-    from mpmath import libmp  # at the first CM point; see the module docstring
-
     W = fixed_width(bits)
     a, b, d = F.a, F.b, -F.disc
     prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
     grow, decay = _exp_t(d, a, prec)
     g = math.gcd(b, a)
-    cos_u, sin_u = _cos_sin_pi(b // g % (2 * a // g), a // g, -(-prec // 64) * 64)
-
-    def fixed(r, x):
-        return libmp.to_fixed(libmp.mpf_mul(r, x, prec), W)
-
-    q = (fixed(decay, cos_u), -fixed(decay, sin_u))
-    return q, (fixed(grow, cos_u), fixed(grow, sin_u))
+    cprec = -(-prec // 64) * 64
+    cos_u, sin_u = _cos_sin_pi(b // g % (2 * a // g), a // g, cprec)
+    sh = prec + cprec - W
+    q = ((decay * cos_u) >> sh, -((decay * sin_u) >> sh))
+    return q, ((grow * cos_u) >> sh, (grow * sin_u) >> sh)
 
 
 def horner_in_q(

@@ -123,11 +123,11 @@ def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
     return R, (m11, m12, m21, m22)
 
 
-def class_reps(d: int) -> list[QuadForm]:
-    """All reduced forms of discriminant -d (imprimitive forms included)."""
+def _reduced_triples(d: int):
+    """(a, b, c) with b >= 0 for each reduced form of discriminant -d; the
+    reduced forms are these and [a, -b, c] for each with 0 < b < a < c."""
     if d % 4 not in (0, 3):
         raise InadmissibleDiscriminant(f"-{d} is not 0 or 1 mod 4")
-    reps = []
     bmax = math.isqrt(d // 3)
     for b in range(d % 2, bmax + 1, 2):
         m4 = b * b + d
@@ -137,28 +137,36 @@ def class_reps(d: int) -> list[QuadForm]:
         a = max(b, 1)
         while a * a <= m:
             if m % a == 0:
-                c = m // a
-                reps.append(QuadForm(a, b, c))
-                if 0 < b < a < c:
-                    reps.append(QuadForm(a, -b, c))
+                yield a, b, m // a
             a += 1
+
+
+def class_reps(d: int) -> list[QuadForm]:
+    """All reduced forms of discriminant -d (imprimitive forms included)."""
+    reps = []
+    for a, b, c in _reduced_triples(d):
+        reps.append(QuadForm(a, b, c))
+        if 0 < b < a < c:
+            reps.append(QuadForm(a, -b, c))
     reps.sort(key=QuadForm.as_tuple)
     return reps
 
 
-def _short_vector_improvement(F: QuadForm, p: int) -> tuple[int, int] | None:
-    """A vector (x, p*y), gcd(x, p*y) = 1, with F(x, p*y) < F.a, if one exists.
+def _short_vector_improvement(a: int, b: int, c: int, p: int) -> tuple[int, int] | None:
+    """A vector (x, p*y), gcd(x, p*y) = 1, with F(x, p*y) < a for F = [a, b, c],
+    if one exists.
 
     Enumerates the auxiliary positive definite form G(x, y) = F(x, p*y)
     inside the exact box |y| <= sqrt(4 A m / disc'), returning the minimum.
     """
-    a, b, c = F.a, F.b, F.c
     A, B, C = a, b * p, c * p * p
     m = a  # strict improvement threshold
     det4 = 4 * A * C - B * B  # = p^2 * d > 0
+    if det4 > 4 * A * (m - 1):  # only y = 0 is left, and x = +-1 gives a itself
+        return None
     best = None
     best_val = m
-    ymax = math.isqrt(4 * A * (m - 1) // det4) if det4 <= 4 * A * (m - 1) else 0
+    ymax = math.isqrt(4 * A * (m - 1) // det4)
     for y in range(-ymax, ymax + 1):
         # solve A x^2 + B x y + (C y^2 - m) < 0 for x
         disc = B * B * y * y - 4 * A * (C * y * y - m)
@@ -199,28 +207,28 @@ def optimize_height(F: QuadForm, p: PrimeLevel) -> QuadForm:
     positive integers.
     """
     pp = p.p
-    if F.a % pp:
+    a, b, c = F.a, F.b, F.c
+    if a % pp:
         raise ValueError("optimize_height needs p | a")
-
-    def normalize_b(G: QuadForm) -> QuadForm:
-        # translate b into (-a, a] (translations stay in Gamma_0(p))
-        k = (G.a - G.b) // (2 * G.a)
-        return G.transform(1, k, 0, 1) if k else G
-
     while True:
-        F = normalize_b(F)
-        vec = _short_vector_improvement(F, pp)
+        k = (a - b) // (2 * a)  # translate b into (-a, a] (translations stay in Gamma_0(p))
+        b, c = b + 2 * a * k, c + b * k + a * k * k
+        vec = _short_vector_improvement(a, b, c, pp)
         if vec is not None:
-            x, y = vec
-            F = F.transform(*_complete_gamma0(x, pp * y))
+            m11, m12, m21, m22 = _complete_gamma0(vec[0], pp * vec[1])
+            a, b, c = (
+                a * m11 * m11 + b * m11 * m21 + c * m21 * m21,
+                2 * a * m11 * m12 + b * (m11 * m22 + m12 * m21) + 2 * c * m21 * m22,
+                a * m12 * m12 + b * m12 * m22 + c * m22 * m22,
+            )
             continue
-        if pp * F.c < F.a:
-            F = QuadForm(pp * F.c, -F.b, F.a // pp)
+        if pp * c < a:
+            a, b, c = pp * c, -b, a // pp
             continue
         break
-    if F.a % pp:
-        raise ArithmeticError(f"optimized form {F.as_tuple()} has p={pp} not dividing a")
-    return F
+    if a % pp:
+        raise ArithmeticError(f"optimized form {(a, b, c)} has p={pp} not dividing a")
+    return QuadForm(a, b, c)
 
 
 def sl2_stabilizer(R: QuadForm) -> list[tuple[int, int, int, int]]:
@@ -288,8 +296,19 @@ def _line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]
 
 
 def class_count(p: PrimeLevel, d: int) -> int:
-    """len(class_labels(p, d)) for admissible d, without building the class forms."""
-    return sum(len(_line_orbits(R, p)) for R in class_reps(d))
+    """len(class_labels(p, d)) for admissible d, without building the class forms.
+
+    A form with a trivial stabilizer has one class per root line, and so has
+    its mirror [a, -b, c]; only [k, k, k] and [k, 0, k] need their line orbits.
+    """
+    pp, n = p.p, 0
+    for a, b, c in _reduced_triples(d):
+        if a == b == c or (a == c and b == 0):
+            n += len(_line_orbits(QuadForm(a, b, c), p))
+            continue
+        lines = (a % pp == 0) + sum((a * t * t + b * t + c) % pp == 0 for t in range(pp))
+        n += 2 * lines if 0 < b < a < c else lines
+    return n
 
 
 def _complete_line(line: tuple[int, int]) -> tuple[int, int, int, int]:

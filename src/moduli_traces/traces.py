@@ -17,6 +17,7 @@ from __future__ import annotations
 import fcntl
 import json
 import math
+import operator
 import os
 import re
 import threading
@@ -503,6 +504,8 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _METHODS = ("gkz", "brute")  # the enumeration methods of qforms.class_labels
+_INT_KEYS = ("p", "D", "d", "t", "bits", "terms")
+_raw_int_fields = operator.itemgetter(*_INT_KEYS)
 
 
 def _int_field(obj: dict, key: str) -> int:
@@ -544,13 +547,15 @@ class TraceCache:
 
     def __init__(self, path):
         self.path = Path(path)
-        self._mem: dict[tuple[int, int, int], TraceRecord] = {}
+        # (p, D, d) -> (value, bits, terms, method): get builds the TraceRecord
+        self._mem: dict[tuple[int, int, int], tuple[int, int, int, str]] = {}
         self._lock = threading.Lock()
         self._fd: int | None = None  # append descriptor, opened by the first write
         if self.path.exists():
             self._load()
 
     def _load(self):
+        mem = self._mem
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):  # only the last line can lack one
@@ -561,43 +566,46 @@ class TraceCache:
                     continue
                 try:
                     obj = json.loads(line)
-                    if not isinstance(obj, dict):
+                    if type(obj) is not dict:
                         raise ValueError("not a JSON object")
-                    p, D, d, t, bits, terms = (
-                        _int_field(obj, k) for k in ("p", "D", "d", "t", "bits", "terms")
-                    )
+                    p, D, d, t, bits, terms = _raw_int_fields(obj)
+                    # the shape put writes; anything else goes through _int_field
+                    if (type(p) is type(D) is type(d) is type(bits) is type(terms) is int
+                            and type(t) is str and _DECIMAL.fullmatch(t)):
+                        t = int(t)
+                    else:
+                        p, D, d, t, bits, terms = (_int_field(obj, k) for k in _INT_KEYS)
                     method = obj["method"]
                     if method not in _METHODS:  # a tuple: an unhashable value is just absent
                         raise ValueError(f"method is {method!r}, not one of {_METHODS}")
                     if p not in SUPPORTED_LEVELS:
                         raise ValueError(f"p is {p}, not one of {SUPPORTED_LEVELS}")
-                    rec = TraceRecord(p=p, D=D, d=d, value=t, bits=bits, terms=terms,
-                                      method=method, cached=True)
                 except (KeyError, ValueError) as exc:
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: corrupt cache line ({exc})"
                     ) from exc
-                key = (rec.p, rec.D, rec.d)
-                prev = self._mem.get(key)
-                if prev is not None and prev.value != rec.value:
+                key = (p, D, d)
+                prev = mem.get(key)
+                if prev is not None and prev[0] != t:
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: conflicting values for {key}: "
-                        f"{prev.value} vs {rec.value}"
+                        f"{prev[0]} vs {t}"
                     )
-                self._mem[key] = rec
+                mem[key] = (t, bits, terms, method)
 
     def get(self, p: int, D: int, d: int) -> TraceRecord | None:
         with self._lock:
-            return self._mem.get((p, D, d))
+            row = self._mem.get((p, D, d))
+        return None if row is None else TraceRecord(p, D, d, *row, cached=True)
 
     def put(self, rec: TraceRecord):
         key = (rec.p, rec.D, rec.d)
         with self._lock:
             prev = self._mem.get(key)
             if prev is not None:
-                if prev.value != rec.value:
+                if prev[0] != rec.value:
                     raise CacheIntegrityError(
-                        f"conflicting values for {key}: {prev.value} vs {rec.value}"
+                        f"{self.path}: conflicting values for {key}: {prev[0]} vs {rec.value}"
                     )
                 return
             line = json.dumps(
@@ -621,7 +629,7 @@ class TraceCache:
                     raise OSError(f"{self.path}: short write, the last line may be torn")
             finally:
                 fcntl.flock(self._fd, fcntl.LOCK_UN)
-            self._mem[key] = rec
+            self._mem[key] = (rec.value, rec.bits, rec.terms, rec.method)
 
     def close(self):
         with self._lock:
@@ -650,11 +658,11 @@ class TraceCache:
         """
         bad = []
         with self._lock:
-            items = list(self._mem.values())
-        for rec in items:
-            fresh = trace(rec.p, rec.D, rec.d, method=rec.method, memo=False)
-            if fresh.value != rec.value:
-                bad.append({"p": rec.p, "D": rec.D, "d": rec.d,
-                            "cached": str(rec.value), "fresh": str(fresh.value)})
+            items = list(self._mem.items())
+        for (p, D, d), (value, _, _, method) in items:
+            fresh = trace(p, D, d, method=method, memo=False)
+            if fresh.value != value:
+                bad.append({"p": p, "D": D, "d": d,
+                            "cached": str(value), "fresh": str(fresh.value)})
         return {"kind": "cache-verify", "checked": len(items), "mismatches": bad,
                 "ok": not bad}

@@ -3,7 +3,9 @@
 The CM references evaluate in mpmath `mpc` objects at `bits` bits of
 floating-point precision, as the package did before its fixed-point kernel:
 the same precision plan, the same class weights and the same certificate, but
-independent arithmetic.  The Faber reference builds each Faber series by
+independent arithmetic.  The `libmp_*` references compute e^t, cos/sin and
+the fixed-point q and q^-1 with mpmath's libmp, as `cm_eval.cm_point_q` did
+before its integer series.  The Faber reference builds each Faber series by
 greedy subtraction of exact series, independently of the recurrence in
 `hauptmodul.faber_polys`.
 """
@@ -11,13 +13,21 @@ greedy subtraction of exact series, independently of the recurrence in
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
 
 from moduli_traces.arith import PrimeLevel
-from moduli_traces.cm_eval import PrecisionContext, plan_precision, round_to_integer
+from mpmath import libmp
+
+from moduli_traces.cm_eval import (
+    PrecisionContext,
+    fixed_width,
+    plan_precision,
+    round_to_integer,
+)
 from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
     QuadForm,
@@ -74,6 +84,40 @@ def cm_point_q(F: QuadForm, bits: int) -> mpmath.mpc:
         d = -F.disc
         alpha = (mpmath.mpc(-F.b, 0) + mpmath.sqrt(mpmath.mpf(d)) * 1j) / (2 * F.a)
         return mpmath.exp(2j * mpmath.pi * alpha)
+
+
+def libmp_exp_t(d: int, a: int, prec: int):
+    """(e^t, e^-t) for t = pi sqrt(d)/a, as raw mpf at prec bits."""
+    sqrt_d = libmp.mpf_sqrt(libmp.from_int(d), prec)
+    t = libmp.mpf_div(libmp.mpf_mul(libmp.mpf_pi(prec), sqrt_d, prec), libmp.from_int(a), prec)
+    grow = libmp.mpf_exp(t, prec)
+    return grow, libmp.mpf_div(libmp.fone, grow, prec)
+
+
+def libmp_cos_sin_pi(num: int, den: int, prec: int):
+    """(cos, sin)(pi num/den) as raw mpf at prec bits."""
+    return libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec, "n"), prec)
+
+
+def libmp_cm_point_q(F: QuadForm, bits: int):
+    """(q, q^-1) in W-bit fixed point at the CM point of F, from mpmath's libmp.
+
+    The kernel `cm_eval.cm_point_q` used before it moved to integer series: e^t
+    at prec = W + ceil(t/ln 2) + 16 bits, cos/sin at prec rounded up to 64, each
+    product rounded once to 2^-W.
+    """
+    W = fixed_width(bits)
+    a, b, d = F.a, F.b, -F.disc
+    prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
+    grow, decay = libmp_exp_t(d, a, prec)
+    g = math.gcd(b, a)
+    cos_u, sin_u = libmp_cos_sin_pi(b // g % (2 * a // g), a // g, -(-prec // 64) * 64)
+
+    def fixed(r, x):
+        return libmp.to_fixed(libmp.mpf_mul(r, x, prec), W)
+
+    q = (fixed(decay, cos_u), -fixed(decay, sin_u))
+    return q, (fixed(grow, cos_u), fixed(grow, sin_u))
 
 
 def horner_in_q(

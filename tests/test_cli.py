@@ -226,9 +226,10 @@ class TestTraceTable:
 
     def test_enumerates_each_row_once(self, tmp_path, capsys, monkeypatch):
         # class_count comes from the trace record: a cold row builds its class
-        # labels once, inside trace(), and a warm row once, for the count
+        # labels once, inside trace(), and a warm row walks the reduced forms
+        # once, for the count
         calls, reps = [], []
-        real, real_reps = traces.enumerate_classes, qforms.class_reps
+        real, real_reps = traces.enumerate_classes, qforms._reduced_triples
 
         def counted(level, d, method="gkz"):
             calls.append(d)
@@ -239,7 +240,7 @@ class TestTraceTable:
             return real_reps(d)
 
         monkeypatch.setattr(traces, "enumerate_classes", counted)
-        monkeypatch.setattr(qforms, "class_reps", counted_reps)
+        monkeypatch.setattr(qforms, "_reduced_triples", counted_reps)
         cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
         reset_state()
         code, out_cold, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
@@ -310,6 +311,24 @@ class TestCacheCommand:
         }
         assert [json.loads(line)["d"] for line in cache.read_text().splitlines()] == [4, 8]
 
+    def test_conflicting_put_exits_4_and_names_the_cache(self, tmp_path, capsys):
+        # a memo record meets a cache line with another value for its key
+        reset_state()
+        try:
+            code, *_ = run(capsys, "trace", "--p", "2", "--d", "4",
+                           "--cache", str(tmp_path / "good.jsonl"))
+            assert code == 0
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(json.dumps({"p": 2, "D": 1, "d": 4, "t": "-25", "bits": 128,
+                                       "terms": 64, "method": "gkz"}) + "\n")
+            code, out, err = run(capsys, "trace", "--p", "2", "--d", "4", "--cache", str(bad))
+        finally:
+            reset_state()
+        assert code == 4 and out == ""
+        assert json.loads(err) == {
+            "error": f"{bad}: conflicting values for (2, 1, 4): -25 vs -26"
+        }
+
     def test_corrupt_cache_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "c.jsonl"
         bad.write_text("garbage\n")
@@ -343,19 +362,23 @@ class TestMpmathImport:
         "print(code, 'mpmath' in sys.modules)"
     )
 
-    def table(self, cache):
+    def cli(self, *argv):
         src = Path(qforms.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        argv = ["trace-table", "--p", "2", "--dmax", "24", "--cache", str(cache)]
         res = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
                              capture_output=True, text=True, check=True)
         return res.stdout.splitlines()[-1]
 
-    def test_warm_table_never_loads_mpmath(self, tmp_path):
-        cache = tmp_path / "c.jsonl"
-        assert self.table(cache) == "0 True"  # an empty cache: every row is a CM sum
-        assert self.table(cache) == "0 False"  # every row is a cache hit
+    def test_cold_and_warm_table_never_load_mpmath(self, tmp_path):
+        argv = ("trace-table", "--p", "2", "--dmax", "24", "--cache", str(tmp_path / "c.jsonl"))
+        assert self.cli(*argv) == "0 False"  # an empty cache: every row is a CM sum
+        assert self.cli(*argv) == "0 False"  # every row is a cache hit
+
+    def test_cold_identities_never_load_mpmath(self, tmp_path):
+        assert self.cli("verify", "coeff-identities", "--p", "13", "--ell", "3",
+                        "--Dmax", "4", "--dmax", "12", "--out", str(tmp_path / "v.json")
+                        ) == "0 False"
 
 
 class TestArgumentContract:

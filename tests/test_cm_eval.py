@@ -1,9 +1,11 @@
 """Unit tests for high-precision CM evaluation and rounding certificates."""
 
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 import oracles
 from moduli_traces import cm_eval
@@ -88,12 +90,13 @@ class TestEvalAtCM:
             assert abs(to_mpc(q_inv, 128) + mpmath.exp(mpmath.pi)) < mpmath.mpf(2) ** -100
 
     def test_shared_constants_do_not_depend_on_call_history(self):
-        # e^t and cos/sin are memoized per key; a value must be the same
-        # whichever calls filled the memos before it
+        # pi and ln 2, e^t and cos/sin are memoized per key; a value must be
+        # the same whichever calls filled the memos before it
         F, bits = QuadForm(6, 5, 5), 192  # d = 95, angle 5/6
         others = [cl.eval_form for d in (23, 95, 143) for cl in enumerate_classes(P2, d)]
 
         def fresh():
+            cm_eval._pi_ln2_bucket.cache_clear()
             cm_eval._exp_t.cache_clear()
             cm_eval._cos_sin_pi.cache_clear()
 
@@ -157,6 +160,82 @@ class TestEvalAtCM:
                 v2 = eval_at(h.series, cl.eval_form, ctx.escalate())
                 with mpmath.workprec(2 * ctx.bits):
                     assert abs(v1 - v2) < mpmath.mpf(2) ** (-ctx.bits // 2)
+
+
+def nearest(x, prec):
+    """The raw mpf x as an int at prec fraction bits, rounded to nearest."""
+    return (libmp.to_fixed(x, prec + 1) + 1) >> 1
+
+
+def exp_prec(d, a, bits):
+    """The precisions of e^t and of cos/sin in cm_point_q for a form [a, b, c] of
+    discriminant -d, at a plan of bits bits."""
+    prec = fixed_width(bits) + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
+    return prec, -(-prec // 64) * 64
+
+
+def assert_exp_t_within_bound(d, a, prec):
+    # the module docstring's bound: a relative 2^-(prec+16) plus 2 units for
+    # e^t, and 2 units for e^-t, whose relative part is below one unit
+    grow, decay = cm_eval._exp_t(d, a, prec)
+    ref_grow, ref_decay = (nearest(x, prec) for x in oracles.libmp_exp_t(d, a, prec + 64))
+    assert abs(grow - ref_grow) <= 2 + (ref_grow >> (prec + 16)), (d, a, prec)
+    assert abs(decay - ref_decay) <= 2, (d, a, prec)
+
+
+class TestIntegerSeries:
+    """pi, ln 2, e^t, cos/sin and q against mpmath, within the bounds the error
+    model in the cm_eval docstring derives."""
+
+    def test_pi_and_ln2(self):
+        # off by less than 1 + 2^-14 units of 2^-P: at most 1 from the nearest
+        for P in range(64, 4097):
+            pi, ln2 = cm_eval._pi_ln2(P)
+            assert abs(pi - nearest(libmp.mpf_pi(P + 32), P)) <= 1, P
+            assert abs(ln2 - nearest(libmp.mpf_ln2(P + 32), P)) <= 1, P
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_exp_t_at_d_5000(self, p):
+        for bits in (128, 1024, 4096):
+            assert_exp_t_within_bound(5000, p, exp_prec(5000, p, bits)[0])
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_components_match_libmp(self, p):
+        # every evaluation form of admissible d <= 300 at its plan and the plan's
+        # first two escalations
+        level = PrimeLevel(p)
+        points = 0
+        for d in range(1, 301):
+            if not is_admissible(d, level):
+                continue
+            classes = enumerate_classes(level, d)
+            ctx = plan_precision(d, classes)
+            for bits in (ctx.bits, 2 * ctx.bits, 4 * ctx.bits):
+                for F in {cl.eval_form for cl in classes}:
+                    a, b = F.a, F.b
+                    prec, cprec = exp_prec(d, a, bits)
+                    assert_exp_t_within_bound(d, a, prec)
+                    g = math.gcd(b, a)
+                    num, den = b // g % (2 * a // g), a // g
+                    cos_sin = cm_eval._cos_sin_pi(num, den, cprec)
+                    ref = oracles.libmp_cos_sin_pi(num, den, cprec + 64)
+                    for got, x in zip(cos_sin, ref):  # less than 1 + 2^-16 units
+                        assert abs(got - nearest(x, cprec)) <= 1, (F, bits)
+                    # q and q^-1: less than 1 + 2^-15 units of 2^-W per component
+                    W, hi = fixed_width(bits), prec + 64
+                    grow, decay = oracles.libmp_exp_t(d, a, hi)
+                    cos_u, sin_u = oracles.libmp_cos_sin_pi(num, den, hi)
+                    want = [[decay, cos_u], [decay, libmp.mpf_neg(sin_u)],
+                            [grow, cos_u], [grow, sin_u]]
+                    q, q_inv = cm_point_q(F, bits)
+                    got = [*q, *q_inv]
+                    for v, (x, y) in zip(got, want):
+                        assert abs(v - nearest(libmp.mpf_mul(x, y, hi), W)) <= 1, (F, bits)
+                    # the libmp kernel it replaced truncated the same products
+                    old = oracles.libmp_cm_point_q(F, bits)
+                    assert all(abs(u - v) <= 1 for u, v in zip(got, [*old[0], *old[1]]))
+                    points += 1
+        assert points > 500
 
 
 class TestFixedPointKernel:

@@ -496,7 +496,7 @@ class TestTraceCache:
         with TraceCache(path) as cache:
             rec = trace(P2, 1, 4)
             cache.put(rec)
-            with pytest.raises(CacheIntegrityError):
+            with pytest.raises(CacheIntegrityError, match=r"c\.jsonl: conflicting values"):
                 cache.put(replace(rec, value=rec.value + 1))
 
     def test_corrupt_line_reports_line_number(self, tmp_path):
