@@ -13,8 +13,6 @@ SUPPORTED_LEVELS = (2, 3, 5, 7, 13)
 # Hauptmoduls are not a single eta quotient).
 UNSUPPORTED_GENUS_ZERO_PRIMES = (11, 17, 19, 23, 29, 31, 41, 47, 59, 71)
 
-_TRIAL_DIVISION_BOUND = 10**6
-
 
 class UnsupportedLevel(ValueError):
     """Raised for prime levels outside {2, 3, 5, 7, 13}."""
@@ -53,13 +51,16 @@ class PrimeLevel:
 
 
 def is_small_prime(n: int) -> bool:
-    """Trial-division primality check, valid for n < 10^12."""
+    """Trial-division primality check for n < 10^12; ValueError at or above it."""
+    if n >= 10**12:  # trial divisors then stay below 10^6
+        raise ValueError(f"{n} is too large for the trial-division primality check "
+                         "(need n < 10^12)")
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
     f = 3
-    while f * f <= n and f <= _TRIAL_DIVISION_BOUND:
+    while f * f <= n:
         if n % f == 0:
             return False
         f += 2

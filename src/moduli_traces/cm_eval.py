@@ -227,8 +227,8 @@ def horner_in_q(
 ) -> Fixed:
     """sum_{n=v}^{terms} c_n q^n in W-bit fixed point; q is (q, q^-1) from cm_point_q.
 
-    The Horner cross-check of `eta_hauptmodul`, which traces use: Horner over
-    c_terms, ..., c_v (off by at most (terms - v + 1) 2^-W, since |q| < 1),
+    The Horner cross-check of `eta_hauptmodul`, which traces use: `horner_poly`
+    over c_v, ..., c_terms (off by at most (terms - v + 1) 2^-W, since |q| < 1),
     then |v| factors q^-1 (v < 0) or q (v > 0).
     """
     if series.order <= terms:
@@ -236,14 +236,12 @@ def horner_in_q(
             f"series window order {series.order} below requested terms {terms}"
         )
     W = fixed_width(bits)
-    (qr, qi), q_inv = q
-    sr = si = 0
-    for c in reversed(series.coeffs[: terms - series.v + 1]):
-        sr, si = ((sr * qr - si * qi) >> W) + (c << W), (sr * qi + si * qr) >> W
-    fr, fi = q_inv if series.v < 0 else (qr, qi)
+    x, x_inv = q
+    s = horner_poly(series.coeffs[: terms - series.v + 1], x, bits)
+    f = x_inv if series.v < 0 else x
     for _ in range(abs(series.v)):
-        sr, si = (sr * fr - si * fi) >> W, (sr * fi + si * fr) >> W
-    return sr, si
+        s = _mul(s, f, W)
+    return s
 
 
 def _mul(x: Fixed, y: Fixed, W: int) -> Fixed:
@@ -274,7 +272,7 @@ def _euler(x: Fixed, n: int, W: int) -> Fixed:
     From x^{k(3k-1)/2} the walk multiplies by x^k, then by x^{2k+1} to reach
     x^{(k+1)(3k+2)/2}; it stops once a power lies within two units of 0.
     """
-    # the multiplies are written out, as in horner_in_q: this loop is the hot path
+    # the multiplies are written out, as in horner_poly: this loop is the hot path
     xr, xi = x
     x2r, x2i = (xr * xr - xi * xi) >> W, (xr * xi) >> (W - 1)
     ar, ai = br, bi = xr, xi  # x^k and x^(2k-1)

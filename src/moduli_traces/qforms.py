@@ -259,10 +259,12 @@ def _canon_line(x: int, y: int, p: int) -> tuple[int, int]:
     return (1, 0)
 
 
-def _act_line(m: tuple[int, int, int, int], line: tuple[int, int], p: int) -> tuple[int, int]:
-    m11, m12, m21, m22 = m
+def _orbit_label(stab: list[tuple[int, int, int, int]], line: tuple[int, int],
+                 p: int) -> tuple[tuple[int, int], int]:
+    """(least line of the stab-orbit of line, omega = |stab| / |orbit|)."""
     x, y = line
-    return _canon_line(m11 * x + m12 * y, m21 * x + m22 * y, p)
+    orbit = {_canon_line(m11 * x + m12 * y, m21 * x + m22 * y, p) for m11, m12, m21, m22 in stab}
+    return min(orbit), len(stab) // len(orbit)
 
 
 def root_lines(R: QuadForm, p: PrimeLevel) -> list[tuple[int, int]]:
@@ -284,15 +286,8 @@ def _line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]
     lines = root_lines(R, p)
     if len(stab) == 1:  # root_lines are canonical, so each is its own orbit
         return [(line, 1) for line in lines]
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for line in lines:
-        if line in seen:
-            continue
-        orbit = {_act_line(m, line, p.p) for m in stab}
-        seen |= orbit
-        orbits.append((min(orbit), len(stab) // len(orbit)))
-    return orbits
+    # each orbit at its first line, in root_lines order
+    return list(dict.fromkeys(_orbit_label(stab, line, p.p) for line in lines))
 
 
 def class_count(p: PrimeLevel, d: int) -> int:
@@ -360,12 +355,8 @@ def brute_force_labels(
             R, m = reduce_sl2(form)
             # form's distinguished column (1, 0), pulled back to the R-frame
             # through the inverse reduction matrix
-            line = _canon_line(m[3], -m[2], pp)
-            stab = sl2_stabilizer(R)
-            orbit = {_act_line(s, line, pp) for s in stab}
-            label = (R.as_tuple(), min(orbit))
-            if label not in seen:
-                seen[label] = (len(stab) // len(orbit), form)
+            line, omega = _orbit_label(sl2_stabilizer(R), _canon_line(m[3], -m[2], pp), pp)
+            seen.setdefault((R.as_tuple(), line), (omega, form))
     return [
         (lab[0], lab[1], omega, form)
         for lab, (omega, form) in sorted(seen.items())

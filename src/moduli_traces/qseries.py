@@ -160,21 +160,6 @@ class TruncatedLaurentSeries:
             out[m] = -c0 * acc
         return TruncatedLaurentSeries(-self.v, out)
 
-    def __pow__(self, e: int) -> "TruncatedLaurentSeries":
-        if e < 0:
-            return self.inv() ** (-e)
-        if e == 0:
-            return constant(1, self.order - self.v - 1 + 1)
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     # -- serialization -------------------------------------------------
 
     def to_json(self) -> str:

@@ -99,9 +99,9 @@ class _LevelState:
         self.level = level
         self.haupt: Hauptmodul | None = None
         self.polys: list[list[int]] = []
-        self.classes_cache: dict[tuple[int, str], list[HeegnerClass]] = {}
+        self.classes_cache: dict[int, list[HeegnerClass]] = {}
         self.value_cache: dict[tuple, Fixed] = {}
-        self.trace_cache: dict[tuple[int, int, str], TraceRecord] = {}
+        self.trace_cache: dict[tuple[int, int], TraceRecord] = {}
         self.lock = threading.RLock()
 
     def faber_poly(self, D: int) -> list[int]:
@@ -138,8 +138,8 @@ def reset_state():
 # traces and duality coefficients
 
 
-def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass],
-               ctx0: PrecisionContext | None, values: dict, method: str) -> TraceRecord:
+def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], values: dict,
+               ctx0: PrecisionContext | None = None, method: str = "gkz") -> TraceRecord:
     """Sum P_D(j_p*) over the classes of discriminant -d and certify the integer.
 
     Classes are summed in conjugate beta-pairs (real parts, doubled off the
@@ -200,11 +200,15 @@ def trace(
 ) -> TraceRecord:
     """The generalized trace t_D^{(p)}(d), certified as an exact integer.
 
-    Resolved in one order: the per-level memo, then `cache`, then
-    `_class_sum`, whose record the memo keeps.  A memo hit and a computed
-    record reach the one `cache.put`; a cache hit gets its class count and is
-    not written back.  `_LevelState.faber_poly` alone sizes j_p* and P_D.
-    memo=False, like ctx0, reads and keeps no memoized classes, CM values or record.
+    A call with ctx0 or a method other than "gkz" is an oracle request: it
+    is computed alone, from fresh classes and CM values, and reads and writes
+    no memo and no cache.  Any other call is resolved in one order: the
+    per-level memo, then `cache`, then `_class_sum`, whose record the memo
+    keeps.  A memo hit and a computed record reach the one `cache.put`; a
+    cache hit gets its class count and is not written back.  memo=False reads
+    and keeps no memoized classes, CM values or record.  Only the exact series
+    and Faber polynomials, which `_LevelState.faber_poly` alone sizes, are
+    shared by every call.
     """
     level = _as_level(p)
     if D < 1:
@@ -212,25 +216,25 @@ def trace(
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
     st = _state(level)
-    key = (D, d, method)
-    memo = memo and ctx0 is None
+    if ctx0 is not None or method != "gkz":
+        return _class_sum(st, D, d, enumerate_classes(level, d, method), {}, ctx0, method)
     # without the memo, classes, CM values and the record live in fresh dicts
     classes, values, records = (
         (st.classes_cache, st.value_cache, st.trace_cache) if memo else ({}, {}, {})
     )
     with st.lock:
-        rec = records.get(key)
+        rec = records.get((D, d))
     if rec is None and cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
             return replace(hit, class_count=class_count(level, d))
     if rec is None:
         with st.lock:
-            if (d, method) not in classes:
-                classes[(d, method)] = enumerate_classes(level, d, method)
-        rec = _class_sum(st, D, d, classes[(d, method)], ctx0, values, method)
+            if d not in classes:
+                classes[d] = enumerate_classes(level, d)
+        rec = _class_sum(st, D, d, classes[d], values)
         with st.lock:
-            records[key] = rec
+            records[(D, d)] = rec
     if cache is not None:
         cache.put(rec)  # a memo record was computed here, never read from a cache
     return rec

@@ -7,7 +7,7 @@ independent arithmetic.  The `libmp_*` references compute e^t, cos/sin and
 the fixed-point q and q^-1 with mpmath's libmp, as `cm_eval.cm_point_q` did
 before its integer series.  The Faber reference builds each Faber series by
 greedy subtraction of exact series, independently of the recurrence in
-`hauptmodul.faber_polys`.
+`hauptmodul.faber_polys`, from the powers `series_pow` takes.
 """
 
 from __future__ import annotations
@@ -31,12 +31,28 @@ from moduli_traces.cm_eval import (
 from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
     QuadForm,
-    _act_line,
+    _canon_line,
     enumerate_classes,
     root_lines,
     sl2_stabilizer,
 )
-from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
+from moduli_traces.qseries import TruncatedLaurentSeries, WindowError, constant
+
+
+def series_pow(s: TruncatedLaurentSeries, e: int) -> TruncatedLaurentSeries:
+    """s^e by binary powering; e < 0 powers the inverse, e = 0 gives 1 on s's window."""
+    if e < 0:
+        return series_pow(s.inv(), -e)
+    if e == 0:
+        return constant(1, s.order - s.v)
+    result = None
+    while e:
+        if e & 1:
+            result = s if result is None else result * s
+        e >>= 1
+        if e:
+            s = s * s
+    return result
 
 
 @dataclass
@@ -61,7 +77,7 @@ def faber(h: Hauptmodul, D: int) -> FaberSeries:
         raise ValueError("Faber degree must be >= 1")
     if h.order <= D:
         raise WindowError(f"window order {h.order} too small for Faber degree {D}")
-    cur = h.series ** D
+    cur = series_pow(h.series, D)
     poly = [0] * (D + 1)
     poly[D] = 1
     for m in range(D - 1, 0, -1):
@@ -166,10 +182,11 @@ def line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]]
     stab = sl2_stabilizer(R)
     seen: set[tuple[int, int]] = set()
     orbits = []
-    for line in root_lines(R, p):
-        if line in seen:
+    for x, y in root_lines(R, p):
+        if (x, y) in seen:
             continue
-        orbit = {_act_line(m, line, p.p) for m in stab}
+        orbit = {_canon_line(m11 * x + m12 * y, m21 * x + m22 * y, p.p)
+                 for m11, m12, m21, m22 in stab}
         seen |= orbit
         orbits.append((min(orbit), len(stab) // len(orbit)))
     return orbits

@@ -190,3 +190,10 @@ class TestMisc:
         assert not is_small_prime(1)
         assert not is_small_prime(0)
         assert not is_small_prime(91)  # 7 * 13
+
+    def test_is_small_prime_is_exact_below_10_to_12(self):
+        assert not is_small_prime(999983**2)  # the largest prime below 10^6, squared
+        assert is_small_prime(10**12 - 11)
+        for n in (10**12, 1000003**2):  # 1000003^2 = 1000006000009 is composite
+            with pytest.raises(ValueError, match="10\\^12"):
+                is_small_prime(n)

@@ -168,6 +168,14 @@ class TestVerify:
             assert code == 2 and out == ""
             assert json.loads(err) == {"error": "D=2 must be a positive perfect square"}
 
+    def test_ell_past_the_primality_bound_exits_2(self, tmp_path, capsys):
+        # 1000003^2 is composite and above the 10^12 that trial division answers below
+        code, out, err = run(capsys, "verify", "congruence", "--p", "2", "--ell", "1000006000009",
+                             "--d", "7", "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "10^12" in json.loads(lines[0])["error"]
+
     @pytest.mark.parametrize("kind", ["congruence", "recurrence"])
     @pytest.mark.parametrize("d", ["0", "-7"])
     def test_nonpositive_d_exits_2(self, tmp_path, capsys, kind, d):

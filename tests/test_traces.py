@@ -104,8 +104,49 @@ class TestTrace:
         reset_state()
         try:
             rec = trace(P2, 1, 23)
-            _state(P2).classes_cache[(23, "gkz")] = []  # would sum to 0 if read
+            _state(P2).classes_cache[23] = []  # would sum to 0 if read
             assert trace(P2, 1, 23, memo=False).value == rec.value
+        finally:
+            reset_state()
+
+    def test_brute_request_with_a_cache_computes_afresh(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            trace(P2, 1, 23, cache=cache, memo=False)
+        before = path.read_bytes()
+        with TraceCache(path) as cache:
+            rec = trace(P2, 1, 23, method="brute", cache=cache)
+        assert (rec.method, rec.cached, rec.value) == ("brute", False, -94)
+        assert path.read_bytes() == before
+
+    def test_ctx0_request_with_a_cache_computes_afresh(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            first = trace(P2, 1, 7, cache=cache, memo=False)
+        before = path.read_bytes()
+        with TraceCache(path) as cache:
+            rec = trace(P2, 1, 7, ctx0=PrecisionContext(640, 256), cache=cache)
+        assert rec.bits >= 640 and rec.cached is False and rec.value == first.value
+        assert path.read_bytes() == before
+        with TraceCache(tmp_path / "new.jsonl") as cache:
+            trace(P2, 1, 7, ctx0=PrecisionContext(640, 256), cache=cache)
+            trace(P2, 1, 8, method="brute", cache=cache)
+        assert not (tmp_path / "new.jsonl").exists()
+
+    def test_memoized_oracle_request_evaluates_its_own_values(self, monkeypatch):
+        reset_state()
+        try:
+            trace(P2, 1, 108)
+            st = _state(P2)
+            memo = (dict(st.classes_cache), dict(st.value_cache), dict(st.trace_cache))
+            calls = []
+            real = traces_mod.eta_hauptmodul
+            monkeypatch.setattr(traces_mod, "eta_hauptmodul",
+                                lambda *args: calls.append(args) or real(*args))
+            rec = trace(P2, 1, 108, method="brute")
+            assert (rec.method, rec.value) == ("brute", -12288992)
+            assert len(calls) == 4  # one per distinct evaluation form
+            assert (st.classes_cache, st.value_cache, st.trace_cache) == memo
         finally:
             reset_state()
 
@@ -671,7 +712,7 @@ class TestTraceCache:
         # recomputes instead of reading the memo back, and reports it
         rec = trace(P2, 1, 39)
         bad = replace(rec, value=rec.value + 1)
-        _state(P2).trace_cache[(1, 39, "gkz")] = bad
+        _state(P2).trace_cache[(1, 39)] = bad
         try:
             with TraceCache(tmp_path / "c.jsonl") as cache:
                 cache.put(bad)
