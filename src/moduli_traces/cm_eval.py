@@ -33,11 +33,11 @@ Error model for q and q^-1, in units of the last bit kept:
 - prec >= W + t/ln 2 + 16 and prec' >= prec, so q and q^-1, each product
   truncated once to 2^-W, are off by less than 1 + 2^-15 units per component.
 
-Error model, for one class value P_D(j_p*(alpha)):
-- each pentagonal sum leaves out a tail of at most |x|^(N+1)/(1 - |x|), with
-  N = terms at x = q and terms // p at x = q^p; the plan makes
-  |q|^terms < 2^-bits.  The walk also stops once a power lies within two
-  units of 0, where the terms left are the size of the truncation errors;
+Error model, for one class value P_D(j_p*(alpha)) at |q| < 1 (the largest |q|
+over the fixture range is 0.658, at p=13, d=3, form (13, 7, 1)):
+- each pentagonal walk, at x = q and at x = q^p, stops at the first power x^g
+  within two units of 0 per component; the terms past it sum to at most
+  2|x^g|/(1 - |x|), the size of the truncation errors;
 - every multiply truncates once, and every complex divide floor-divides once,
   each off by less than 2^-W per component; about four multiplies per pair of
   pentagonal terms, a few for q^p and r^e;
@@ -54,9 +54,9 @@ times e D.
 
 Correctness rests on an a-posteriori certificate: a sum counts once it lies
 within TOL of an integer; one that does not is recomputed with doubled bits
-and terms, up to MAX_RETRIES times, and no two plans are compared.  Tail
-planning uses the heuristic coefficient envelope |c_n| <= e^{4 pi sqrt(n/p)};
-the certificate, not the envelope, is the correctness gate.
+and terms, up to MAX_RETRIES times, and no two plans are compared.  The
+certificate, not the heuristic envelope |c_n| <= e^{4 pi sqrt(n/p)} that
+sizes terms, is the correctness gate.
 """
 
 from __future__ import annotations
@@ -266,8 +266,8 @@ def _pow(x: Fixed, e: int, W: int) -> Fixed:
         x = _mul(x, x, W)
 
 
-def _euler(x: Fixed, n: int, W: int) -> Fixed:
-    """prod (1 - x^m) = 1 + sum_k (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2}), exponents <= n.
+def _euler(x: Fixed, W: int) -> Fixed:
+    """prod (1 - x^m) = 1 + sum_k (-1)^k (x^{k(3k-1)/2} + x^{k(3k+1)/2}), for |x| < 1.
 
     From x^{k(3k-1)/2} the walk multiplies by x^k, then by x^{2k+1} to reach
     x^{(k+1)(3k+2)/2}; it stops once a power lies within two units of 0.
@@ -277,36 +277,33 @@ def _euler(x: Fixed, n: int, W: int) -> Fixed:
     x2r, x2i = (xr * xr - xi * xi) >> W, (xr * xi) >> (W - 1)
     ar, ai = br, bi = xr, xi  # x^k and x^(2k-1)
     cr, ci = sr, si = 1 << W, 0  # the last power walked to, and the sum
-    k, g = 1, 1  # g = k(3k-1)/2
-    while g <= n:
-        cr, ci = (cr * br - ci * bi) >> W, (cr * bi + ci * br) >> W  # x^g
+    k = 1
+    while True:
+        cr, ci = (cr * br - ci * bi) >> W, (cr * bi + ci * br) >> W  # x^(k(3k-1)/2)
         if -2 <= cr <= 2 and -2 <= ci <= 2:
-            break
+            return sr, si
         tr, ti = cr, ci
-        if g + k <= n:
-            cr, ci = (cr * ar - ci * ai) >> W, (cr * ai + ci * ar) >> W  # x^(g+k)
-            tr, ti = tr + cr, ti + ci
+        cr, ci = (cr * ar - ci * ai) >> W, (cr * ai + ci * ar) >> W  # x^(k(3k+1)/2)
+        tr, ti = tr + cr, ti + ci
         if k & 1:
             sr, si = sr - tr, si - ti
         else:
             sr, si = sr + tr, si + ti
-        g += 3 * k + 1
         k += 1
         ar, ai = (ar * xr - ai * xi) >> W, (ar * xi + ai * xr) >> W
         br, bi = (br * x2r - bi * x2i) >> W, (br * x2i + bi * x2r) >> W
-    return sr, si
 
 
-def eta_hauptmodul(level: PrimeLevel, q: tuple[Fixed, Fixed], terms: int, bits: int) -> Fixed:
+def eta_hauptmodul(level: PrimeLevel, q: tuple[Fixed, Fixed], bits: int) -> Fixed:
     """j_p* in W-bit fixed point from its eta product; q is (q, q^-1) from cm_point_q.
 
-    r = E(q)/E(q^p) with the pentagonal sums E to exponents terms and
-    terms // p, f_p = q^-1 r^e, and j_p* = f_p + C/f_p + e with
-    e = level.eta_exponent and C = level.fricke_const; see the module docstring.
+    r = E(q)/E(q^p), each pentagonal sum walked until its powers vanish,
+    f_p = q^-1 r^e, and j_p* = f_p + C/f_p + e with e = level.eta_exponent and
+    C = level.fricke_const; see the module docstring.
     """
     W = fixed_width(bits)
     x, x_inv = q
-    r = _div(_euler(x, terms, W), _euler(_pow(x, level.p, W), terms // level.p, W), W)
+    r = _div(_euler(x, W), _euler(_pow(x, level.p, W), W), W)
     f = _mul(x_inv, _pow(r, level.eta_exponent, W), W)
     g = _div((level.fricke_const << W, 0), f, W)  # C/f_p = C q r^-e
     return f[0] + g[0] + (level.eta_exponent << W), f[1] + g[1]
@@ -335,7 +332,8 @@ def plan_precision(
 
     bits covers the largest term magnitude e^{2 pi degree sqrt(d)/(2 a_min)}
     plus guard bits; terms n is chosen so the envelope tail
-    e^{-2 pi y_min n} e^{4 pi sqrt(n/p)} drops below 2^{-bits}.
+    e^{-2 pi y_min n} e^{4 pi sqrt(n/p)} drops below 2^{-bits}.  The eta kernel
+    reads only bits: terms goes to the record, escalation and `horner_in_q`.
     """
     if not classes:
         raise ValueError("plan_precision needs a nonempty class list")

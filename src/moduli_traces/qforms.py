@@ -20,6 +20,12 @@ from dataclasses import dataclass
 from .arith import PrimeLevel, sqrt_classes, is_admissible
 
 
+# The largest d any enumeration accepts.  A p=2 trace just below it takes about
+# two minutes, and the time grows faster than d: a larger d, such as the
+# ell^(2n) d of a verifier with a large ell, would run until killed.
+MAX_DISC = 10**7
+
+
 class NotPositiveDefinite(ValueError):
     pass
 
@@ -125,7 +131,10 @@ def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
 
 def _reduced_triples(d: int):
     """(a, b, c) with b >= 0 for each reduced form of discriminant -d; the
-    reduced forms are these and [a, -b, c] for each with 0 < b < a < c."""
+    reduced forms are these and [a, -b, c] for each with 0 < b < a < c.
+    ValueError for d above MAX_DISC."""
+    if d > MAX_DISC:
+        raise ValueError(f"d={d} is above the supported bound {MAX_DISC}")
     if d % 4 not in (0, 3):
         raise InadmissibleDiscriminant(f"-{d} is not 0 or 1 mod 4")
     bmax = math.isqrt(d // 3)

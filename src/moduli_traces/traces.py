@@ -148,7 +148,8 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
     fixed-point integer with the weights mult/(2 omega) scaled by 12, which
     makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
     distinct evaluation form (Fricke pairs share one), so each is evaluated once
-    per (W, terms) into values: value_cache, or a dict private to one call.
+    per W, whatever the Faber degree, into values: value_cache, or a dict
+    private to one call.
     """
     p = st.level.p
     weights: dict[QuadForm, int] = {}
@@ -170,11 +171,10 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
         W = fixed_width(c.bits)
         total = 0
         for form, w in weights.items():
-            key = (form.as_tuple(), W, c.terms)
+            key = (form.as_tuple(), W)
             with st.lock:
                 if key not in values:
-                    values[key] = eta_hauptmodul(st.level, cm_point_q(form, c.bits),
-                                                 c.terms, c.bits)
+                    values[key] = eta_hauptmodul(st.level, cm_point_q(form, c.bits), c.bits)
             total += w * horner_poly(poly, values[key], c.bits)[0]
         return Fraction(total, 12 << W)
 

@@ -77,8 +77,8 @@ class TestTrace:
         # a kernel off by 1/2 keeps t(4) 1/8 off an integer at every plan
         kernel = traces.eta_hauptmodul
 
-        def off_by_half(level, q, terms, bits):
-            re, im = kernel(level, q, terms, bits)
+        def off_by_half(level, q, bits):
+            re, im = kernel(level, q, bits)
             return re + (1 << (fixed_width(bits) - 1)), im
 
         monkeypatch.setattr(traces, "eta_hauptmodul", off_by_half)
@@ -175,6 +175,18 @@ class TestVerify:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and "10^12" in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("argv", [
+        "congruence --ell 10007 --d 7",  # t at d = 7 * 10007^2
+        "recurrence --ell 3 --n 12 --d 7",  # B(1, 3^24 * 7)
+        "coeff-identities --ell 10007 --dmax 7",  # B(1, 10007^2 * 4)
+    ])
+    def test_discriminant_past_the_bound_exits_2(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv.split(), "--p", "2",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert f"above the supported bound {qforms.MAX_DISC}" in json.loads(line)["error"]
 
     @pytest.mark.parametrize("kind", ["congruence", "recurrence"])
     @pytest.mark.parametrize("d", ["0", "-7"])

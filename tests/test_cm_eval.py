@@ -46,7 +46,7 @@ def assert_matches_oracle(level, series, F, *ctxs):
     ref = oracles.horner_in_q(series, oracles.cm_point_q(F, prec), top.terms, prec)
     for ctx in ctxs:
         q = cm_point_q(F, ctx.bits)
-        for got in (eta_hauptmodul(level, q, ctx.terms, ctx.bits),
+        for got in (eta_hauptmodul(level, q, ctx.bits),
                     horner_in_q(series, q, ctx.terms, ctx.bits)):
             with mpmath.workprec(prec):
                 err = abs(to_mpc(got, ctx.bits) - ref) / max(1, abs(ref))
@@ -120,7 +120,7 @@ class TestEvalAtCM:
         h = build_hauptmodul(P2, 120)
         ctx = PrecisionContext(bits=192, terms=100)
         val = eval_at(h.series, QuadForm(2, 2, 1), ctx)
-        eta = eta_hauptmodul(P2, cm_point_q(QuadForm(2, 2, 1), ctx.bits), ctx.terms, ctx.bits)
+        eta = eta_hauptmodul(P2, cm_point_q(QuadForm(2, 2, 1), ctx.bits), ctx.bits)
         with mpmath.workprec(192):
             for v in (val, to_mpc(eta, ctx.bits)):
                 assert abs(v.imag) < mpmath.mpf(2) ** -96

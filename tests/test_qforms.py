@@ -8,12 +8,14 @@ import pytest
 from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, is_admissible, sqrt_classes
 import oracles
 from moduli_traces.qforms import (
+    MAX_DISC,
     HeegnerClass,
     InadmissibleDiscriminant,
     NotPositiveDefinite,
     QuadForm,
     _complete_gamma0,
     _line_orbits,
+    _reduced_triples,
     brute_force_labels,
     class_count,
     class_from_line,
@@ -25,6 +27,7 @@ from moduli_traces.qforms import (
     root_lines,
     sl2_stabilizer,
 )
+from moduli_traces.traces import trace
 
 P2 = PrimeLevel(2)
 P3 = PrimeLevel(3)
@@ -104,6 +107,16 @@ class TestClassReps:
         for d in (1, 2, 5, 6):
             with pytest.raises(InadmissibleDiscriminant):
                 class_reps(d)
+
+    def test_discriminant_bound(self):
+        # d = MAX_DISC + 7 is admissible at p=2; nothing past the bound is enumerated
+        big = MAX_DISC + 7
+        assert is_admissible(big, P2)
+        for call in (lambda: class_count(P2, big), lambda: enumerate_classes(P2, big),
+                     lambda: trace(P2, 1, big)):
+            with pytest.raises(ValueError, match=f"d={big} is above the supported bound {MAX_DISC}"):
+                call()
+        assert next(_reduced_triples(MAX_DISC)) == (1, 0, MAX_DISC // 4)
 
     def test_all_reduced_with_right_disc(self):
         for d in range(3, 120):

@@ -150,6 +150,29 @@ class TestTrace:
         finally:
             reset_state()
 
+    def test_value_memo_is_shared_across_faber_degrees(self, monkeypatch):
+        # at p=13, d=23 the degrees 1, 2, 3 and 5 all plan the same bits, and
+        # the memo keys a CM value by (form, W) alone: after t_1(23) evaluated
+        # the 3 distinct forms, the higher degrees evaluate none
+        level = PrimeLevel(13)
+        classes = enumerate_classes(level, 23)
+        plans = {plan_precision(23, classes, degree=D) for D in (1, 2, 3, 5)}
+        assert [(c.bits, c.terms) for c in plans] == [(128, 256)]
+        calls = []
+        real = traces_mod.eta_hauptmodul
+        monkeypatch.setattr(traces_mod, "eta_hauptmodul",
+                            lambda *args: calls.append(args) or real(*args))
+        reset_state()
+        try:
+            trace(level, 1, 23)
+            assert len(calls) == 3
+            calls.clear()
+            for D in (2, 3, 5):
+                assert trace(level, D, 23).value == oracles.trace_value(13, D, 23), D
+            assert calls == []
+        finally:
+            reset_state()
+
     def test_each_distinct_form_evaluated_once(self, monkeypatch):
         calls = []
         real = traces_mod.horner_poly
@@ -216,8 +239,8 @@ class TestTrace:
         # a kernel off by 1/2 moves t(4) = j_2*((-1+i)/2)/4 by 1/8 at every plan
         kernel = traces_mod.eta_hauptmodul
 
-        def off_by_half(level, q, terms, bits):
-            re, im = kernel(level, q, terms, bits)
+        def off_by_half(level, q, bits):
+            re, im = kernel(level, q, bits)
             return re + (1 << (fixed_width(bits) - 1)), im
 
         monkeypatch.setattr(traces_mod, "eta_hauptmodul", off_by_half)
