@@ -52,6 +52,12 @@ over the fixture range is 0.658, at p=13, d=3, form (13, 7, 1)):
 _GUARD_BITS, so the error stays near 2^-(_GUARD_BITS + FIXED_GUARD_BITS)
 times e D.
 
+A form and its mirror (a, -b, c) share one evaluation.  The CM point of the
+mirror is -conj(alpha), where q is conjugate, and j_p*(-conj(alpha)) is the
+conjugate of j_p*(alpha) because j_p* has integer coefficients.  A class sum
+keeps only Re P_D(j), so `traces._class_sum` evaluates (a, |b|, c) for both;
+the kernel's two values agree in Re to within the error above.
+
 Correctness rests on an a-posteriori certificate: a sum counts once it lies
 within TOL of an integer; one that does not is recomputed with doubled bits
 and terms, up to MAX_RETRIES times, and no two plans are compared.  The

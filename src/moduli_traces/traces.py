@@ -49,6 +49,7 @@ from .cm_eval import (
 )
 from .hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
 from .qforms import (
+    MAX_DISC,
     HeegnerClass,
     InadmissibleDiscriminant,
     QuadForm,
@@ -56,6 +57,11 @@ from .qforms import (
     enumerate_classes,
 )
 from .qseries import WindowError
+
+# the largest Faber degree trace() accepts: P_D comes from the Faber list sized
+# to the power of two at or above D, and the list to 512 costs ten times the
+# list to 256 (see README)
+MAX_DEGREE = 256
 
 
 class HypothesisViolation(ValueError):
@@ -147,12 +153,14 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
     converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The sum is one
     fixed-point integer with the weights mult/(2 omega) scaled by 12, which
     makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
-    distinct evaluation form (Fricke pairs share one), so each is evaluated once
-    per W, whatever the Faber degree, into values: value_cache, or a dict
-    private to one call.
+    distinct form (a, |b|, c): Fricke pairs share an evaluation form, and a form
+    and its mirror (a, -b, c) share one evaluation, because only Re P_D(j) is
+    summed and j_p*(-conj(alpha)) is the conjugate of j_p*(alpha).  Each is
+    evaluated once per W, whatever the Faber degree, into values: value_cache,
+    or a dict private to one call.
     """
     p = st.level.p
-    weights: dict[QuadForm, int] = {}
+    weights: dict[tuple[int, int, int], int] = {}  # keyed by (a, |b|, c)
     for cl in classes:
         if cl.beta > p:
             continue
@@ -162,7 +170,9 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
                 f"p={p} has stabilizer order {cl.omega}, not a divisor of 6"
             )
         mult = 1 if cl.beta % p == 0 else 2  # beta = -beta mod 2p
-        weights[cl.eval_form] = weights.get(cl.eval_form, 0) + 6 * mult // cl.omega
+        F = cl.eval_form
+        key = (F.a, abs(F.b), F.c)
+        weights[key] = weights.get(key, 0) + 6 * mult // cl.omega
     ctx = plan_precision(d, classes, ctx0, degree=D)
 
     poly = st.faber_poly(D)
@@ -171,10 +181,11 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
         W = fixed_width(c.bits)
         total = 0
         for form, w in weights.items():
-            key = (form.as_tuple(), W)
+            key = (form, W)
             with st.lock:
                 if key not in values:
-                    values[key] = eta_hauptmodul(st.level, cm_point_q(form, c.bits), c.bits)
+                    q = cm_point_q(QuadForm(*form), c.bits)
+                    values[key] = eta_hauptmodul(st.level, q, c.bits)
             total += w * horner_poly(poly, values[key], c.bits)[0]
         return Fraction(total, 12 << W)
 
@@ -213,6 +224,8 @@ def trace(
     level = _as_level(p)
     if D < 1:
         raise ValueError("Faber degree D must be >= 1")
+    if D > MAX_DEGREE:
+        raise ValueError(f"Faber degree D={D} is above the supported bound {MAX_DEGREE}")
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
     st = _state(level)
@@ -361,6 +374,23 @@ def _b_or_zero(level: PrimeLevel, D, d) -> int:
     return b_coeff(level, D, d)
 
 
+def _check_reach(ell: int, n: int, d: int, D: int = 1):
+    """Raise ValueError unless the discriminant ell^(2n) d stays within
+    qforms.MAX_DISC and the Faber degree ell^n sqrt(D) within MAX_DEGREE: the
+    largest a verifier reaches.  The discriminant grows a factor of ell^2 at a
+    time, so a large n stops within 8 steps (ell >= 3, d >= 1) and never builds
+    ell^(2n); past that check ell^n is below sqrt(MAX_DISC)."""
+    disc = d
+    for _ in range(n):
+        disc *= ell * ell
+        if disc > MAX_DISC:
+            raise ValueError(f"ell={ell}, n={n}, d={d}: ell^(2n) d is above the "
+                             f"supported bound {MAX_DISC}")
+    if ell**n * math.isqrt(D) > MAX_DEGREE:
+        raise ValueError(f"ell={ell}, n={n}, D={D}: the Faber degree ell^n sqrt(D) "
+                         f"is above the supported bound {MAX_DEGREE}")
+
+
 def _div_exact(n: int, m: int) -> int | None:
     return n // m if n % m == 0 else None
 
@@ -388,6 +418,8 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     """
     level = _as_level(p)
     check_ell(level, ell)
+    if D_list and d_list:
+        _check_reach(ell, 1, max(d_list), max(D_list))
     ell2 = ell * ell
     checks = []
     for D in D_list:
@@ -435,6 +467,8 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
         raise ValueError("n must be >= 1")
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
+    check_square(D)
+    _check_reach(ell, n, d, D)
     ell2 = ell * ell
     B = lambda DD, dd: _b_or_zero(level, DD, dd)
     kD = kronecker(D, ell)
@@ -484,6 +518,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
         raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
     if not splits(ell, d):
         raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
+    _check_reach(ell, n, d)
     big = trace(level, 1, ell ** (2 * n) * d)
     cong_ok = big.value % ell**n == 0
     lift = -b_coeff(level, ell ** (2 * n), d)

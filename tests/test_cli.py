@@ -188,6 +188,28 @@ class TestVerify:
         [line] = err.splitlines()
         assert f"above the supported bound {qforms.MAX_DISC}" in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("argv, named, bound", [
+        # ell^(2n) d past qforms.MAX_DISC: refused before ell^(2n) is built
+        ("verify recurrence --ell 3 --n 10000000 --d 7", "ell=3, n=10000000, d=7",
+         qforms.MAX_DISC),
+        ("verify congruence --ell 11 --n 10000000 --d 7", "ell=11, n=10000000, d=7",
+         qforms.MAX_DISC),
+        # a Faber degree past traces.MAX_DEGREE: refused before any series is built
+        ("trace --D 1000 --d 7", "Faber degree D=1000", traces.MAX_DEGREE),
+        ("verify recurrence --ell 3 --n 1 --D 1000000 --d 7", "ell=3, n=1, D=1000000",
+         traces.MAX_DEGREE),
+        ("verify coeff-identities --ell 3 --Dmax 7396 --dmax 40", "ell=3, n=1, D=7396",
+         traces.MAX_DEGREE),
+    ])
+    def test_reach_past_a_bound_exits_2_at_once(self, tmp_path, capsys, argv, named, bound):
+        code, out, err = run(capsys, *argv.split(), "--p", "2",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        msg = json.loads(line)["error"]
+        assert named in msg and f"above the supported bound {bound}" in msg
+        assert not (tmp_path / "c.jsonl").exists()
+
     @pytest.mark.parametrize("kind", ["congruence", "recurrence"])
     @pytest.mark.parametrize("d", ["0", "-7"])
     def test_nonpositive_d_exits_2(self, tmp_path, capsys, kind, d):

@@ -254,7 +254,9 @@ class TestFixedPointKernel:
                 continue
             classes = enumerate_classes(level, d)
             ctx = plan_precision(d, classes)
-            for form in {cl.eval_form for cl in classes}:  # Fricke pairs share a form
+            # every distinct evaluation form, mirrors included: a trace
+            # evaluates only (a, |b|, c), so this checks (a, -|b|, c) on its own
+            for form in {cl.eval_form for cl in classes}:
                 assert_matches_oracle(level, series, form, ctx, ctx.escalate())
             checked += len(classes)
         assert checked > 800
@@ -272,6 +274,29 @@ class TestFixedPointKernel:
             up = plan_precision(d, classes).escalate()
             for form in {cl.eval_form for cl in classes}:
                 assert_matches_oracle(level, series, form, up, up.escalate())
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_mirror_forms_give_conjugate_values(self, p):
+        # traces evaluate a form and its mirror (a, -b, c) once, at (a, |b|, c):
+        # the CM point of the mirror is -conj(alpha) and j_p* has integer
+        # coefficients, so at the planned bits the kernel's two values must
+        # agree in Re and cancel in Im to 2^-bits max(|j|, 1)
+        level = PrimeLevel(p)
+        pairs = 0
+        for d in range(1, 301):
+            if not is_admissible(d, level):
+                continue
+            classes = enumerate_classes(level, d)
+            bits = plan_precision(d, classes).bits
+            W = fixed_width(bits)
+            for F in {cl.eval_form for cl in classes if cl.eval_form.b}:
+                re, im = eta_hauptmodul(level, cm_point_q(F, bits), bits)
+                re2, im2 = eta_hauptmodul(level, cm_point_q(QuadForm(F.a, -F.b, F.c), bits), bits)
+                scale = max(math.isqrt(re * re + im * im), 1 << W)  # max(|j|, 1) 2^W
+                assert abs(re - re2) << bits <= scale, (d, F)
+                assert abs(im + im2) << bits <= scale, (d, F)
+                pairs += 1
+        assert pairs == {2: 581, 3: 555, 5: 525, 7: 535, 13: 582}[p]  # 2778 in all
 
     def test_faber_horner_matches_oracle(self):
         h = build_hauptmodul(P2, 200)

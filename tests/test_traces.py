@@ -26,6 +26,7 @@ from moduli_traces.cm_eval import (
 )
 from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
+    MAX_DISC,
     InadmissibleDiscriminant,
     QuadForm,
     class_labels,
@@ -33,6 +34,7 @@ from moduli_traces.qforms import (
 )
 from moduli_traces.qseries import WindowError
 from moduli_traces.traces import (
+    MAX_DEGREE,
     CacheIntegrityError,
     CoeffTable,
     HypothesisViolation,
@@ -145,15 +147,16 @@ class TestTrace:
                                 lambda *args: calls.append(args) or real(*args))
             rec = trace(P2, 1, 108, method="brute")
             assert (rec.method, rec.value) == ("brute", -12288992)
-            assert len(calls) == 4  # one per distinct evaluation form
+            assert len(calls) == 3  # one per distinct (a, |b|, c) of the evaluation forms
             assert (st.classes_cache, st.value_cache, st.trace_cache) == memo
         finally:
             reset_state()
 
     def test_value_memo_is_shared_across_faber_degrees(self, monkeypatch):
         # at p=13, d=23 the degrees 1, 2, 3 and 5 all plan the same bits, and
-        # the memo keys a CM value by (form, W) alone: after t_1(23) evaluated
-        # the 3 distinct forms, the higher degrees evaluate none
+        # the memo keys a CM value by ((a, |b|, c), W) alone: after t_1(23)
+        # evaluated its 2 distinct (a, |b|, c), (13, 9, 2) and (26, 17, 3), the
+        # higher degrees evaluate none
         level = PrimeLevel(13)
         classes = enumerate_classes(level, 23)
         plans = {plan_precision(23, classes, degree=D) for D in (1, 2, 3, 5)}
@@ -165,7 +168,7 @@ class TestTrace:
         reset_state()
         try:
             trace(level, 1, 23)
-            assert len(calls) == 3
+            assert len(calls) == 2
             calls.clear()
             for D in (2, 3, 5):
                 assert trace(level, D, 23).value == oracles.trace_value(13, D, 23), D
@@ -179,15 +182,36 @@ class TestTrace:
         monkeypatch.setattr(
             traces_mod, "horner_poly", lambda poly, x, bits: calls.append(x) or real(poly, x, bits)
         )
-        # (level, d, summed classes, distinct evaluation forms)
-        for level, d, n_classes, n_forms in ((P2, 108, 8, 4), (P3, 108, 10, 6),
-                                             (PrimeLevel(13), 399, 16, 16)):
+        # (level, d, summed classes, distinct evaluation forms, distinct
+        # (a, |b|, c)): a form and its mirror (a, -b, c) share one evaluation
+        for level, d, n_classes, n_forms, n_evals in (
+            (P2, 108, 8, 4, 3), (P3, 108, 10, 6, 5), (PrimeLevel(13), 399, 16, 16, 10),
+        ):
             calls.clear()
             rec = trace(level, 1, d, memo=False)
             summed = [c.eval_form for c in enumerate_classes(level, d) if c.beta <= level.p]
             assert (len(summed), len(set(summed))) == (n_classes, n_forms)
-            assert len(calls) == n_forms
+            assert len({(F.a, abs(F.b), F.c) for F in summed}) == n_evals
+            assert len(calls) == n_evals
             assert rec.value == oracles.trace_value(level.p, 1, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_one_evaluation_per_mirror_pair(self, monkeypatch, p):
+        # a trace evaluates j_p* once per distinct (a, |b|, c) of its summed
+        # classes: a form and its mirror (a, -b, c) share one evaluation
+        level = PrimeLevel(p)
+        calls = []
+        real = traces_mod.eta_hauptmodul
+        monkeypatch.setattr(traces_mod, "eta_hauptmodul",
+                            lambda *args: calls.append(args) or real(*args))
+        for d in range(1, 201):
+            if not is_admissible(d, level):
+                continue
+            calls.clear()
+            trace(level, 1, d, memo=False)
+            summed = {(c.eval_form.a, abs(c.eval_form.b), c.eval_form.c)
+                      for c in enumerate_classes(level, d) if c.beta <= p}
+            assert len(calls) == len(summed), d
 
     def test_methods_agree(self):
         for d in (16, 23, 108):
@@ -198,6 +222,20 @@ class TestTrace:
             trace(P2, 1, 5)
         with pytest.raises(ValueError):
             trace(P2, 0, 4)
+
+    def test_degree_bound(self):
+        # a degree past MAX_DEGREE is refused before any series or Faber
+        # polynomial is built; the bound itself is accepted
+        reset_state()
+        try:
+            for D in (MAX_DEGREE + 1, 10**6):
+                with pytest.raises(ValueError,
+                                   match=f"D={D} is above the supported bound {MAX_DEGREE}"):
+                    trace(P2, D, 7)
+            assert _state(P2).haupt is None
+            assert trace(PrimeLevel(13), MAX_DEGREE, 3, memo=False).residual < 1e-6
+        finally:
+            reset_state()
 
     def test_record_provenance(self):
         rec = trace(P2, 1, 23)
@@ -481,6 +519,20 @@ class TestVerifyRecurrence:
         with pytest.raises(ValueError):
             verify_recurrence(P2, 3, 1, 8, 0)
 
+    def test_reach_past_the_bounds(self):
+        # refused before ell^(2n) is built and before any trace: 3^(2 10^8) has
+        # about 10^8 digits
+        with pytest.raises(ValueError, match=f"ell=3, n=100000000, d=7: .* above the "
+                                             f"supported bound {MAX_DISC}"):
+            verify_recurrence(P2, 3, 1, 7, 10**8)
+        # 3^12 7 is within MAX_DISC, but B(3^12, 7) needs t_729(7)
+        with pytest.raises(ValueError, match=f"ell=3, n=6, D=1: .* above the supported "
+                                             f"bound {MAX_DEGREE}"):
+            verify_recurrence(P2, 3, 1, 7, 6)
+        with pytest.raises(ValueError, match=f"ell=3, n=1, D=1000000: .* above the "
+                                             f"supported bound {MAX_DEGREE}"):
+            verify_recurrence(P2, 3, 10**6, 7, 1)
+
 
 class TestVerifyCongruence:
     def test_exact_lift_example(self):
@@ -504,6 +556,17 @@ class TestVerifyCongruence:
         with pytest.raises(HypothesisViolation) as exc:
             verify_congruence(P2, 3, 5, 1)
         assert exc.value.reason == "inadmissible"
+
+    def test_reach_past_the_bounds(self):
+        # refused before ell^(2n) is built and before any trace
+        with pytest.raises(ValueError, match=f"ell=11, n=10000000, d=7: .* above the "
+                                             f"supported bound {MAX_DISC}"):
+            verify_congruence(P2, 11, 7, 10**7)
+        # 263 splits in Q(sqrt(-7)) and 263^2 7 is within MAX_DISC, but the
+        # exact lift B(263^2, 7) needs t_263(7)
+        with pytest.raises(ValueError, match=f"ell=263, n=1, D=1: .* above the supported "
+                                             f"bound {MAX_DEGREE}"):
+            verify_congruence(P2, 263, 7, 1)
 
 
 class TestTraceCache:
@@ -749,22 +812,25 @@ class TestTraceCache:
 
     def test_verify_recomputes_poisoned_cm_values(self, tmp_path):
         # a wrong CM value in the in-process memo makes trace() write a wrong
-        # record; verify shares no memo with trace(), so it reports it
+        # record; verify shares no memo with trace(), so it reports it.  The
+        # poisoned key (2, 1, 3) carries the weight 12 of each of the forms
+        # (2, 1, 3) and (2, -1, 3), so adding 1 to Re j there moves t(23) by 24
         reset_state()
         try:
             trace(P2, 1, 23)
             st = _state(P2)
             st.trace_cache.clear()
             key = next(iter(st.value_cache))
+            assert key[0] == (2, 1, 3)
             re, im = st.value_cache[key]
             st.value_cache[key] = (re + (12 << key[1]), im)
             with TraceCache(tmp_path / "c.jsonl") as cache:
-                assert trace(P2, 1, 23, cache=cache).value == -82
+                assert trace(P2, 1, 23, cache=cache).value == -70
             report = cache.verify()
         finally:
             reset_state()
         assert report["mismatches"] == [
-            {"p": 2, "D": 1, "d": 23, "cached": "-82", "fresh": "-94"}
+            {"p": 2, "D": 1, "d": 23, "cached": "-70", "fresh": "-94"}
         ]
 
     def test_trace_uses_cache(self, tmp_path):
