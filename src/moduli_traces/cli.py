@@ -94,10 +94,10 @@ def cmd_classes(args) -> int:
     classes = enumerate_classes(level, args.d)
     rows = [
         {
-            "sl2_rep": str(c.sl2_rep.as_tuple()),
+            "sl2_rep": str(c.sl2_rep),
             "line": str(c.line),
             "beta": c.beta,
-            "eval_form": str(c.eval_form.as_tuple()),
+            "eval_form": str(c.eval_form),
             "omega": c.omega,
         }
         for c in classes

@@ -74,7 +74,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .arith import PrimeLevel
-from .qforms import QuadForm, HeegnerClass
+from .qforms import HeegnerClass
 from .qseries import TruncatedLaurentSeries, WindowError
 
 _GUARD_BITS = 96
@@ -206,8 +206,8 @@ def _cos_sin_pi(num: int, den: int, prec: int) -> tuple[int, int]:
     return ((c, sn), (-sn, c), (-c, -sn), (sn, -c))[m % 4]
 
 
-def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
-    """(q, q^-1) in fixed point at the CM point alpha_F = (-b + i sqrt(d)) / (2a).
+def cm_point_q(F: tuple[int, int, int], bits: int) -> tuple[Fixed, Fixed]:
+    """(q, q^-1) in fixed point at the CM point alpha_F = (-b + i sqrt(d)) / (2a) of F = (a, b, c).
 
     With t = pi sqrt(d)/a and u = pi b/a, q = exp(2 pi i alpha_F) is
     e^-t (cos u - i sin u) and q^-1 = e^t (cos u + i sin u).  q^-1 is formed
@@ -217,7 +217,8 @@ def cm_point_q(F: QuadForm, bits: int) -> tuple[Fixed, Fixed]:
     evaluated once per angle b/a mod 2, at prec rounded up to 64 bits.
     """
     W = fixed_width(bits)
-    a, b, d = F.a, F.b, -F.disc
+    a, b, c = F
+    d = 4 * a * c - b * b
     prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
     grow, decay = _exp_t(d, a, prec)
     g = math.gcd(b, a)
@@ -329,6 +330,7 @@ def horner_poly(poly: list[int], x: Fixed, bits: int) -> Fixed:
 
 
 def plan_precision(
+    level: PrimeLevel,
     d: int,
     classes: list[HeegnerClass],
     ctx0: PrecisionContext | None = None,
@@ -344,10 +346,10 @@ def plan_precision(
     if not classes:
         raise ValueError("plan_precision needs a nonempty class list")
     ctx0 = ctx0 or PrecisionContext()
-    p = classes[0].p.p
+    p = level.p
     sqrt_d = math.sqrt(d)
-    ys = [sqrt_d / (2 * h.eval_form.a) for h in classes]
-    y_max, y_min = max(ys), min(ys)
+    heights = [h.eval_form[0] for h in classes]
+    y_max, y_min = sqrt_d / (2 * min(heights)), sqrt_d / (2 * max(heights))
     bits = math.ceil(2 * math.pi * degree * y_max / math.log(2)) + _GUARD_BITS
     bits = max(bits, ctx0.bits, _MIN_BITS)
     target = bits * math.log(2)

@@ -43,7 +43,7 @@ def build_hauptmodul(p: PrimeLevel, N: int) -> Hauptmodul:
     return Hauptmodul(p, j.truncate(N))
 
 
-def faber_polys(h: Hauptmodul, Dmax: int) -> list[list[int]]:
+def faber_polys(h: Hauptmodul, Dmax: int, polys: list[list[int]] = ()) -> list[list[int]]:
     """P_0 ... P_Dmax via the series-free convolution recurrence.
 
     With j = q^{-1} + sum b_m q^m and G(s) = s(j(s) - X), the logarithmic
@@ -51,16 +51,18 @@ def faber_polys(h: Hauptmodul, Dmax: int) -> list[list[int]]:
 
         P_D(X) = X P_{D-1}(X) - sum_{j=2}^{D-1} b_{j-1} P_{D-j}(X) - D b_{D-1},
 
-    which needs only b_1, ..., b_{Dmax-1}.  The test suite cross-checks it
-    against the greedy series construction in tests/oracles.py.
+    which needs only b_1, ..., b_{Dmax-1}.  `polys`, a list P_0 ... P_k of the
+    same level, is extended rather than recomputed; it is not modified.  The
+    test suite cross-checks the recurrence against the greedy series
+    construction in tests/oracles.py.
     """
     if h.order <= Dmax - 1:
         raise WindowError(f"need Hauptmodul coefficients up to q^{Dmax - 1}")
     b = [0] * max(Dmax, 2)
     for m in range(1, Dmax):
         b[m] = h.series.coeff(m)
-    polys: list[list[int]] = [[1], [0, 1]]
-    for D in range(2, Dmax + 1):
+    polys = list(polys) if len(polys) >= 2 else [[1], [0, 1]]
+    for D in range(len(polys), Dmax + 1):
         prev = polys[D - 1]
         cur = [0] + list(prev)  # X * P_{D-1}
         for j in range(2, D):

@@ -10,12 +10,17 @@ the Gross-Kohnen-Zagier labels (SL_2-class, beta); for p | content(R) all
 p + 1 lines are roots and the beta label alone under-counts.  A direct
 brute-force scan over forms implements the same partition independently and
 serves as the oracle in the tests.
+
+Enumeration works on (a, b, c) int triples throughout: class records hold
+triples, and `QuadForm`, the validated form type, is built only by
+`class_reps`, `reduce_sl2` and the brute-force scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import PrimeLevel, sqrt_classes, is_admissible
 
@@ -74,27 +79,27 @@ class QuadForm:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class HeegnerClass:
+class HeegnerClass(NamedTuple):
     """One Gamma_0(p)-class of Q_{d,p}: label plus an optimized evaluation form.
 
-    `line` is the canonical representative of the stabilizer orbit of root
-    lines attached to the class (in the frame of the reduced SL_2
-    representative); `omega` is the stabilizer order of that line, i.e. the
-    number of stabilizers of the class in +-Gamma_0(p)/+-1.
+    `sl2_rep` is the reduced SL_2 representative and `eval_form` the form the
+    class is evaluated at, both (a, b, c) int triples.  `line` is the canonical
+    representative of the stabilizer orbit of root lines attached to the class
+    (in the frame of sl2_rep); `omega` is the stabilizer order of that line,
+    i.e. the number of stabilizers of the class in +-Gamma_0(p)/+-1.  The label
+    (sl2_rep, line) identifies the class, so records sort by (beta, sl2_rep,
+    line) as tuples.
     """
 
-    p: PrimeLevel
-    d: int
     beta: int
-    sl2_rep: QuadForm
+    sl2_rep: tuple[int, int, int]
     line: tuple[int, int]
-    eval_form: QuadForm
+    eval_form: tuple[int, int, int]
     omega: int
 
     @property
     def label(self) -> tuple[tuple[int, int, int], tuple[int, int]]:
-        return (self.sl2_rep.as_tuple(), self.line)
+        return (self.sl2_rep, self.line)
 
 
 def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
@@ -207,16 +212,21 @@ def _complete_gamma0(x: int, py: int) -> tuple[int, int, int, int]:
     return (x, (x * w - 1) // py, py, w)
 
 
-def optimize_height(F: QuadForm, p: PrimeLevel) -> QuadForm:
-    """Minimize the leading coefficient within the Gamma_0(p)*-orbit of F.
+def optimize_height(F: tuple[int, int, int], p: PrimeLevel) -> tuple[int, int, int]:
+    """Lower the leading coefficient of F = (a, b, c), p | a, by Gamma_0(p) moves
+    and Fricke flips.
 
-    Alternates short-vector improvements (Gamma_0(p) moves) with the Fricke
-    flip [a, b, c] -> [p c, -b, a/p] while either strictly decreases a, then
-    normalizes b into (-a, a].  Terminates: a strictly decreases through
-    positive integers.
+    Alternates short-vector improvements (Gamma_0(p) moves that strictly
+    decrease a) with the Fricke flip [a, b, c] -> [p c, -b, a/p], taken only
+    when p c < a, normalizing b into (-a, a] before each step.  Terminates: a
+    strictly decreases through positive integers.  The result has the least a
+    of its own Gamma_0(p)-class, but not always the least of the
+    Gamma_0(p)*-orbit: the Fricke image's Gamma_0(p)-minimum can have a smaller
+    a although p c >= a.  That happens in 80, 202 and 889 classes at p = 5, 7
+    and 13 (ROADMAP, open item 3).  ValueError unless p | a.
     """
     pp = p.p
-    a, b, c = F.a, F.b, F.c
+    a, b, c = F
     if a % pp:
         raise ValueError("optimize_height needs p | a")
     while True:
@@ -237,20 +247,19 @@ def optimize_height(F: QuadForm, p: PrimeLevel) -> QuadForm:
         break
     if a % pp:
         raise ArithmeticError(f"optimized form {(a, b, c)} has p={pp} not dividing a")
-    return QuadForm(a, b, c)
+    return (a, b, c)
 
 
-def sl2_stabilizer(R: QuadForm) -> list[tuple[int, int, int, int]]:
-    """The stabilizer of R in PSL_2(Z), as matrices (including the identity).
+def sl2_stabilizer(R: tuple[int, int, int]) -> list[tuple[int, int, int, int]]:
+    """The stabilizer of the reduced form R = (a, b, c) in PSL_2(Z), as matrices
+    (including the identity).
 
     Nontrivial exactly for multiples of x^2 + xy + y^2 (order 3) and of
     x^2 + y^2 (order 2); for reduced R those are [k, k, k] and [k, 0, k].
     """
-    a, b, c = R.a, R.b, R.c
+    a, b, c = R
     if a == b == c:
-        u = (0, 1, -1, -1)
-        u2 = (-1, -1, 1, 0)
-        return [(1, 0, 0, 1), u, u2]
+        return [(1, 0, 0, 1), (0, 1, -1, -1), (-1, -1, 1, 0)]
     if a == c and b == 0:
         return [(1, 0, 0, 1), (0, -1, 1, 0)]
     return [(1, 0, 0, 1)]
@@ -276,66 +285,71 @@ def _orbit_label(stab: list[tuple[int, int, int, int]], line: tuple[int, int],
     return min(orbit), len(stab) // len(orbit)
 
 
-def root_lines(R: QuadForm, p: PrimeLevel) -> list[tuple[int, int]]:
-    """All lines l in P^1(F_p) with R(l) = 0 mod p."""
-    pp, a, b, c = p.p, R.a, R.b, R.c
+def root_lines(R: tuple[int, int, int], p: PrimeLevel) -> list[tuple[int, int]]:
+    """All lines l in P^1(F_p) with R(l) = 0 mod p, for R = (a, b, c)."""
+    pp, (a, b, c) = p.p, R
     out = [(t, 1) for t in range(pp) if (a * t * t + b * t + c) % pp == 0]
     if a % pp == 0:
         out.append((1, 0))
     return out
 
 
-def _line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]]:
-    """Orbits of the SL_2-stabilizer of R on its root lines.
+def _class_lines(p: PrimeLevel, d: int):
+    """(reduced SL_2 rep, root line orbit, omega) for each Gamma_0(p)-class of
+    Q_{d,p}: the one root-line walk of `class_count` and `enumerate_classes`.
 
-    Returns (canonical orbit representative, omega) pairs, where omega is
-    the order of the line stabilizer = |Stab(R)| / |orbit|.
+    A rep with a trivial stabilizer has one class per root line, and so has its
+    mirror [a, -b, c], whose root lines are (-t : 1) and (1 : 0); only
+    [k, k, k] and [k, 0, k] need the orbits of their stabilizer, each at its
+    least line with omega = |stabilizer| / |orbit|.
     """
-    stab = sl2_stabilizer(R)
-    lines = root_lines(R, p)
-    if len(stab) == 1:  # root_lines are canonical, so each is its own orbit
-        return [(line, 1) for line in lines]
-    # each orbit at its first line, in root_lines order
-    return list(dict.fromkeys(_orbit_label(stab, line, p.p) for line in lines))
+    pp = p.p
+    for R in _reduced_triples(d):
+        a, b, c = R
+        lines = root_lines(R, p)
+        if a == b == c or (a == c and b == 0):
+            stab = sl2_stabilizer(R)
+            for line, omega in dict.fromkeys(_orbit_label(stab, line, pp) for line in lines):
+                yield R, line, omega
+            continue
+        for line in lines:
+            yield R, line, 1
+        if 0 < b < a < c:
+            for x, y in lines:
+                yield (a, -b, c), ((-x % pp, 1) if y else (1, 0)), 1
 
 
 def class_count(p: PrimeLevel, d: int) -> int:
-    """len(class_labels(p, d)) for admissible d, without building the class forms.
-
-    A form with a trivial stabilizer has one class per root line, and so has
-    its mirror [a, -b, c]; only [k, k, k] and [k, 0, k] need their line orbits.
-    """
-    pp, n = p.p, 0
-    for a, b, c in _reduced_triples(d):
-        if a == b == c or (a == c and b == 0):
-            n += len(_line_orbits(QuadForm(a, b, c), p))
-            continue
-        lines = (a % pp == 0) + sum((a * t * t + b * t + c) % pp == 0 for t in range(pp))
-        n += 2 * lines if 0 < b < a < c else lines
-    return n
+    """The number of Gamma_0(p)-classes of Q_{d,p}, len(enumerate_classes(p, d))
+    for admissible d, from the root-line walk alone: no form is lifted or
+    height-optimized."""
+    return sum(1 for _ in _class_lines(p, d))
 
 
-def _complete_line(line: tuple[int, int]) -> tuple[int, int, int, int]:
-    """A determinant-1 matrix whose first column reduces to the line mod p."""
+def _lift(R: tuple[int, int, int], line: tuple[int, int], pp: int) -> tuple[int, int, int]:
+    """The form R o M with p | a that represents the Gamma_0(p)-class of a root
+    line of R: M has determinant 1 and first column (x0, 1) or (1, 0), namely
+    [[x0, x0 - 1], [1, 1]] for the line (x0 : 1), x0 != 0, [[0, -1], [1, 0]]
+    for (0 : 1) and the identity for (1 : 0).  ValueError for a line that is
+    not a root line."""
+    a, b, c = R
     x0, y0 = line
     if y0 == 0:
-        return (1, 0, 0, 1)
-    return (x0, x0 - 1, y0, y0) if x0 else (0, -1, 1, 0)
-
-
-def class_from_line(
-    R: QuadForm, line: tuple[int, int], p: PrimeLevel
-) -> QuadForm:
-    """The form R o M, p | a, representing the Gamma_0(p)-class of the line."""
-    F = R.transform(*_complete_line(line))
-    if F.a % p.p:
-        raise ValueError(f"{line} is not a root line of {R.as_tuple()} mod p={p.p}")
+        F = R
+    elif x0:
+        F = (a * x0 * x0 + b * x0 + c,
+             2 * a * x0 * (x0 - 1) + b * (2 * x0 - 1) + 2 * c,
+             a * (x0 - 1) * (x0 - 1) + b * (x0 - 1) + c)
+    else:
+        F = (c, -b, a)
+    if F[0] % pp:
+        raise ValueError(f"{line} is not a root line of {R} mod p={pp}")
     return F
 
 
 def brute_force_labels(
     p: PrimeLevel, d: int
-) -> list[tuple[tuple[int, int, int], tuple[int, int], int, QuadForm]]:
+) -> list[tuple[tuple[int, int, int], tuple[int, int], int, tuple[int, int, int]]]:
     """All labels (reduced SL_2 class, line orbit) of Q_{d,p}, by direct scan.
 
     Scans every form [a, b, c] with p | a up to an a-bound that provably sees
@@ -344,15 +358,15 @@ def brute_force_labels(
     a = a0 x0^2 + b0 x0 y0 + c0 y0^2 <= p^2 a0 + c0 <= p^2 sqrt(d/3) + (d+1)/4.
     The line label of a scanned form is the column (1, 0) pulled back through
     its reduction matrix, canonicalized within its stabilizer orbit.  Returns
-    (SL_2 label, line label, omega, witness) tuples, one witness per label.
-    Used as the independent oracle for `enumerate_classes`.
+    (SL_2 label, line label, omega, witness) tuples, one witness triple per
+    label.  Used as the independent oracle for `enumerate_classes`.
     """
     if not is_admissible(d, p):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={p.p}")
     pp = p.p
     amax = pp * pp * (math.isqrt(d // 3) + 1) + (d + 1) // 4
     roots = sqrt_classes(d, p)
-    seen: dict[tuple, tuple[int, QuadForm]] = {}
+    seen: dict[tuple, tuple[int, tuple[int, int, int]]] = {}
     for a in range(pp, amax + 1, pp):
         for b in range(-a + 1, a + 1):
             if b % (2 * pp) not in roots:
@@ -360,55 +374,38 @@ def brute_force_labels(
             num = b * b + d
             if num % (4 * a):
                 continue
-            form = QuadForm(a, b, num // (4 * a))
-            R, m = reduce_sl2(form)
+            form = (a, b, num // (4 * a))
+            R, m = reduce_sl2(QuadForm(*form))
+            R = R.as_tuple()
             # form's distinguished column (1, 0), pulled back to the R-frame
             # through the inverse reduction matrix
             line, omega = _orbit_label(sl2_stabilizer(R), _canon_line(m[3], -m[2], pp), pp)
-            seen.setdefault((R.as_tuple(), line), (omega, form))
+            seen.setdefault((R, line), (omega, form))
     return [
         (lab[0], lab[1], omega, form)
         for lab, (omega, form) in sorted(seen.items())
     ]
 
 
-def class_labels(p: PrimeLevel, d: int, method: str = "gkz") -> list[tuple]:
-    """One (SL_2 rep, line, omega, form with p | a) per Gamma_0(p)-class of Q_{d,p}.
+def enumerate_classes(p: PrimeLevel, d: int, method: str = "gkz") -> list[HeegnerClass]:
+    """One HeegnerClass per Gamma_0(p)-class of Q_{d,p}, sorted by (beta, SL_2
+    rep, line).
 
-    method="gkz" constructs labels from reduced SL_2 representatives and
-    their root-line orbits; method="brute" scans forms directly and partitions
-    them by the same invariant, serving as an independent cross-check.
+    method="gkz" lifts each root line of the walk to a form with p | a;
+    method="brute" takes the witnesses of `brute_force_labels`, an independent
+    cross-check.  Either form is height-optimized into the evaluation form,
+    and beta is its b mod 2p before optimization.
     """
     if not is_admissible(d, p):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={p.p}")
+    pp = p.p
     if method == "gkz":
-        return [
-            (rep, line, omega, class_from_line(rep, line, p))
-            for rep in class_reps(d)
-            for line, omega in _line_orbits(rep, p)
-        ]
-    if method == "brute":
-        return [
-            (QuadForm(*rep_t), line, omega, form)
-            for rep_t, line, omega, form in brute_force_labels(p, d)
-        ]
-    raise ValueError(f"unknown enumeration method {method!r}")
-
-
-def enumerate_classes(p: PrimeLevel, d: int, method: str = "gkz") -> list[HeegnerClass]:
-    """One HeegnerClass per Gamma_0(p)-class of Q_{d,p}: class_labels with
-    height-optimized evaluation forms, sorted by (beta, SL_2 rep, line)."""
-    classes = [
-        HeegnerClass(
-            p=p,
-            d=d,
-            beta=form.b % (2 * p.p),
-            sl2_rep=rep,
-            line=line,
-            eval_form=optimize_height(form, p),
-            omega=omega,
-        )
-        for rep, line, omega, form in class_labels(p, d, method)
-    ]
-    classes.sort(key=lambda h: (h.beta, h.sl2_rep.as_tuple(), h.line))
+        labels = [(R, line, omega, _lift(R, line, pp)) for R, line, omega in _class_lines(p, d)]
+    elif method == "brute":
+        labels = brute_force_labels(p, d)
+    else:
+        raise ValueError(f"unknown enumeration method {method!r}")
+    classes = [HeegnerClass(F[1] % (2 * pp), R, line, optimize_height(F, p), omega)
+               for R, line, omega, F in labels]
+    classes.sort()
     return classes

@@ -52,15 +52,14 @@ from .qforms import (
     MAX_DISC,
     HeegnerClass,
     InadmissibleDiscriminant,
-    QuadForm,
     class_count,
     enumerate_classes,
 )
 from .qseries import WindowError
 
-# the largest Faber degree trace() accepts: P_D comes from the Faber list sized
-# to the power of two at or above D, and the list to 512 costs ten times the
-# list to 256 (see README)
+# the largest Faber degree trace() accepts: P_D comes from the Faber list grown
+# to exactly D, which at p=2 takes 0.8 s to D = 256, 1.3 s to 300 and 11 s to
+# 512 on a 2-vCPU host, the time growing faster than D^3 (see README)
 MAX_DEGREE = 256
 
 
@@ -112,14 +111,14 @@ class _LevelState:
 
     def faber_poly(self, D: int) -> list[int]:
         """P_D, sized here alone: the Hauptmodul series at the next power of two at
-        or above D + 2, the Faber list to the next one at or above D.  CM values
-        come from the eta product, so the series feeds only the Faber list.
-        Both are exact, so growing either changes no value read from it."""
+        or above D + 2, the Faber list extended to exactly D.  CM values come
+        from the eta product, so the series feeds only the Faber list.  Both are
+        exact, so growing either changes no value read from it."""
         with self.lock:
             if self.haupt is None or self.haupt.order < D + 2:
                 self.haupt = build_hauptmodul(self.level, 1 << (D + 1).bit_length())
             if D >= len(self.polys):
-                self.polys = faber_polys(self.haupt, 1 << (D - 1).bit_length())
+                self.polys = faber_polys(self.haupt, D, self.polys)
             return self.polys[D]
 
 
@@ -166,14 +165,14 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
             continue
         if 6 % cl.omega:
             raise ArithmeticError(
-                f"class {cl.sl2_rep.as_tuple()} line {cl.line} of d={d} at "
+                f"class {cl.sl2_rep} line {cl.line} of d={d} at "
                 f"p={p} has stabilizer order {cl.omega}, not a divisor of 6"
             )
         mult = 1 if cl.beta % p == 0 else 2  # beta = -beta mod 2p
-        F = cl.eval_form
-        key = (F.a, abs(F.b), F.c)
+        a, b, c = cl.eval_form
+        key = (a, abs(b), c)
         weights[key] = weights.get(key, 0) + 6 * mult // cl.omega
-    ctx = plan_precision(d, classes, ctx0, degree=D)
+    ctx = plan_precision(st.level, d, classes, ctx0, degree=D)
 
     poly = st.faber_poly(D)
 
@@ -184,7 +183,7 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
             key = (form, W)
             with st.lock:
                 if key not in values:
-                    q = cm_point_q(QuadForm(*form), c.bits)
+                    q = cm_point_q(form, c.bits)
                     values[key] = eta_hauptmodul(st.level, q, c.bits)
             total += w * horner_poly(poly, values[key], c.bits)[0]
         return Fraction(total, 12 << W)

@@ -30,7 +30,6 @@ from moduli_traces.cm_eval import (
 )
 from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
-    QuadForm,
     _canon_line,
     enumerate_classes,
     root_lines,
@@ -94,11 +93,13 @@ def faber(h: Hauptmodul, D: int) -> FaberSeries:
     return FaberSeries(h.p, D, cur, poly)
 
 
-def cm_point_q(F: QuadForm, bits: int) -> mpmath.mpc:
-    """q = exp(2 pi i alpha_F) at the CM point alpha_F = (-b + i sqrt(d)) / (2a)."""
+def cm_point_q(F: tuple[int, int, int], bits: int) -> mpmath.mpc:
+    """q = exp(2 pi i alpha_F) at the CM point alpha_F = (-b + i sqrt(d)) / (2a)
+    of F = (a, b, c), d = 4ac - b^2."""
+    a, b, c = F
     with mpmath.workprec(bits):
-        d = -F.disc
-        alpha = (mpmath.mpc(-F.b, 0) + mpmath.sqrt(mpmath.mpf(d)) * 1j) / (2 * F.a)
+        d = 4 * a * c - b * b
+        alpha = (mpmath.mpc(-b, 0) + mpmath.sqrt(mpmath.mpf(d)) * 1j) / (2 * a)
         return mpmath.exp(2j * mpmath.pi * alpha)
 
 
@@ -115,7 +116,7 @@ def libmp_cos_sin_pi(num: int, den: int, prec: int):
     return libmp.mpf_cos_sin_pi(libmp.from_rational(num, den, prec, "n"), prec)
 
 
-def libmp_cm_point_q(F: QuadForm, bits: int):
+def libmp_cm_point_q(F: tuple[int, int, int], bits: int):
     """(q, q^-1) in W-bit fixed point at the CM point of F, from mpmath's libmp.
 
     The kernel `cm_eval.cm_point_q` used before it moved to integer series: e^t
@@ -123,7 +124,8 @@ def libmp_cm_point_q(F: QuadForm, bits: int):
     product rounded once to 2^-W.
     """
     W = fixed_width(bits)
-    a, b, d = F.a, F.b, -F.disc
+    a, b, c = F
+    d = 4 * a * c - b * b
     prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
     grow, decay = libmp_exp_t(d, a, prec)
     g = math.gcd(b, a)
@@ -158,7 +160,7 @@ def trace_value(p: int, D: int, d: int, ctx0: PrecisionContext | None = None) ->
     """t_D^{(p)}(d) summed in mpc objects, certified by round_to_integer."""
     level = PrimeLevel(p)
     classes = enumerate_classes(level, d)
-    ctx = plan_precision(d, classes, ctx0, degree=D)
+    ctx = plan_precision(level, d, classes, ctx0, degree=D)
 
     def compute(c: PrecisionContext):
         h = build_hauptmodul(level, c.terms + D + 2)
@@ -176,9 +178,10 @@ def trace_value(p: int, D: int, d: int, ctx0: PrecisionContext | None = None) ->
     return round_to_integer(compute(ctx), ctx, recompute=compute).value
 
 
-def line_orbits(R: QuadForm, p: PrimeLevel) -> list[tuple[tuple[int, int], int]]:
-    """Orbits of the SL_2-stabilizer of R on its root lines, computed for every
-    R (no shortcut for a trivial stabilizer): (least line, omega) pairs."""
+def line_orbits(R: tuple[int, int, int], p: PrimeLevel) -> list[tuple[tuple[int, int], int]]:
+    """Orbits of the SL_2-stabilizer of the reduced form R = (a, b, c) on its
+    root lines, computed for every R (no shortcut for a trivial stabilizer):
+    (least line, omega) pairs."""
     stab = sl2_stabilizer(R)
     seen: set[tuple[int, int]] = set()
     orbits = []

@@ -44,7 +44,7 @@ def test_criterion_2_class_enumeration_oracle_equivalence():
         for d in range(1, 201):
             if not is_admissible(d, level):
                 continue
-            gkz = {(c.sl2_rep.as_tuple(), c.line, c.omega)
+            gkz = {(c.sl2_rep, c.line, c.omega)
                    for c in enumerate_classes(level, d, method="gkz")}
             brute = {(rep, line, omega)
                      for rep, line, omega, _ in brute_force_labels(level, d)}

@@ -24,7 +24,7 @@ from moduli_traces.cm_eval import (
     round_to_integer,
 )
 from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
-from moduli_traces.qforms import QuadForm, enumerate_classes
+from moduli_traces.qforms import enumerate_classes
 from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
 from moduli_traces.traces import trace
 
@@ -76,7 +76,7 @@ class TestEvalAtCM:
         # series q^-1 at alpha = i is e^{2 pi}
         series = TruncatedLaurentSeries(-1, [1] + [0] * 40)
         ctx = PrecisionContext(bits=128, terms=30)
-        val = eval_at(series, QuadForm(1, 0, 1), ctx)
+        val = eval_at(series, (1, 0, 1), ctx)
         with mpmath.workprec(128):
             expect = mpmath.exp(2 * mpmath.pi)
             assert abs(val - expect) < mpmath.mpf(2) ** -100
@@ -84,7 +84,7 @@ class TestEvalAtCM:
 
     def test_cm_point_on_negative_real_axis(self):
         # F = [2,2,1]: alpha = (-1+i)/2, so q = -e^{-pi} and q^-1 = -e^{pi}
-        q, q_inv = cm_point_q(QuadForm(2, 2, 1), 128)
+        q, q_inv = cm_point_q((2, 2, 1), 128)
         with mpmath.workprec(256):
             assert abs(to_mpc(q, 128) + mpmath.exp(-mpmath.pi)) < mpmath.mpf(2) ** -100
             assert abs(to_mpc(q_inv, 128) + mpmath.exp(mpmath.pi)) < mpmath.mpf(2) ** -100
@@ -92,7 +92,7 @@ class TestEvalAtCM:
     def test_shared_constants_do_not_depend_on_call_history(self):
         # pi and ln 2, e^t and cos/sin are memoized per key; a value must be
         # the same whichever calls filled the memos before it
-        F, bits = QuadForm(6, 5, 5), 192  # d = 95, angle 5/6
+        F, bits = (6, 5, 5), 192  # d = 95, angle 5/6
         others = [cl.eval_form for d in (23, 95, 143) for cl in enumerate_classes(P2, d)]
 
         def fresh():
@@ -108,19 +108,19 @@ class TestEvalAtCM:
                 cm_point_q(G, b)
         assert cm_point_q(F, bits) == ref
         fresh()
-        cm_point_q(QuadForm(6, -7, 6), 4 * bits)  # angle -7/6 = 5/6 mod 2, a higher bucket
+        cm_point_q((6, -7, 6), 4 * bits)  # angle -7/6 = 5/6 mod 2, a higher bucket
         assert cm_point_q(F, bits) == ref
         # b -> b + 2a (or b - 2a) moves the CM point by -1 (or +1): q is unchanged
-        for G in (QuadForm(6, 17, 16), QuadForm(6, -7, 6)):
-            assert G.disc == F.disc and cm_point_q(G, bits) == ref
+        for G in ((6, 17, 16), (6, -7, 6)):
+            assert G[1] ** 2 - 4 * G[0] * G[2] == -95 and cm_point_q(G, bits) == ref
 
     def test_hauptmodul_singular_value(self):
         # j_2* at alpha = (-1+i)/2 is the algebraic integer -104 (the d=4
         # class is symmetric, so a single evaluation is already real)
         h = build_hauptmodul(P2, 120)
         ctx = PrecisionContext(bits=192, terms=100)
-        val = eval_at(h.series, QuadForm(2, 2, 1), ctx)
-        eta = eta_hauptmodul(P2, cm_point_q(QuadForm(2, 2, 1), ctx.bits), ctx.bits)
+        val = eval_at(h.series, (2, 2, 1), ctx)
+        eta = eta_hauptmodul(P2, cm_point_q((2, 2, 1), ctx.bits), ctx.bits)
         with mpmath.workprec(192):
             for v in (val, to_mpc(eta, ctx.bits)):
                 assert abs(v.imag) < mpmath.mpf(2) ** -96
@@ -129,13 +129,13 @@ class TestEvalAtCM:
     def test_window_contract(self):
         series = TruncatedLaurentSeries(-1, [1] * 10)
         with pytest.raises(WindowError):
-            eval_at(series, QuadForm(1, 0, 1), PrecisionContext(bits=128, terms=50))
+            eval_at(series, (1, 0, 1), PrecisionContext(bits=128, terms=50))
 
     def test_deterministic(self):
         h = build_hauptmodul(P2, 80)
         ctx = PrecisionContext(bits=192, terms=60)
-        a = eval_at(h.series, QuadForm(2, 2, 1), ctx)
-        b = eval_at(h.series, QuadForm(2, 2, 1), ctx)
+        a = eval_at(h.series, (2, 2, 1), ctx)
+        b = eval_at(h.series, (2, 2, 1), ctx)
         assert a == b
 
     def test_conjugate_beta_pairs(self):
@@ -155,7 +155,7 @@ class TestEvalAtCM:
         h = build_hauptmodul(P2, 300)
         for d in (4, 15, 23):
             for cl in enumerate_classes(P2, d):
-                ctx = plan_precision(d, [cl])
+                ctx = plan_precision(P2, d, [cl])
                 v1 = eval_at(h.series, cl.eval_form, ctx)
                 v2 = eval_at(h.series, cl.eval_form, ctx.escalate())
                 with mpmath.workprec(2 * ctx.bits):
@@ -209,10 +209,10 @@ class TestIntegerSeries:
             if not is_admissible(d, level):
                 continue
             classes = enumerate_classes(level, d)
-            ctx = plan_precision(d, classes)
+            ctx = plan_precision(level, d, classes)
             for bits in (ctx.bits, 2 * ctx.bits, 4 * ctx.bits):
                 for F in {cl.eval_form for cl in classes}:
-                    a, b = F.a, F.b
+                    a, b, _ = F
                     prec, cprec = exp_prec(d, a, bits)
                     assert_exp_t_within_bound(d, a, prec)
                     g = math.gcd(b, a)
@@ -253,7 +253,7 @@ class TestFixedPointKernel:
             if not is_admissible(d, level):
                 continue
             classes = enumerate_classes(level, d)
-            ctx = plan_precision(d, classes)
+            ctx = plan_precision(level, d, classes)
             # every distinct evaluation form, mirrors included: a trace
             # evaluates only (a, |b|, c), so this checks (a, -|b|, c) on its own
             for form in {cl.eval_form for cl in classes}:
@@ -271,7 +271,7 @@ class TestFixedPointKernel:
             if not is_admissible(d, level):
                 continue
             classes = enumerate_classes(level, d)
-            up = plan_precision(d, classes).escalate()
+            up = plan_precision(level, d, classes).escalate()
             for form in {cl.eval_form for cl in classes}:
                 assert_matches_oracle(level, series, form, up, up.escalate())
 
@@ -287,11 +287,11 @@ class TestFixedPointKernel:
             if not is_admissible(d, level):
                 continue
             classes = enumerate_classes(level, d)
-            bits = plan_precision(d, classes).bits
+            bits = plan_precision(level, d, classes).bits
             W = fixed_width(bits)
-            for F in {cl.eval_form for cl in classes if cl.eval_form.b}:
+            for F in {cl.eval_form for cl in classes if cl.eval_form[1]}:
                 re, im = eta_hauptmodul(level, cm_point_q(F, bits), bits)
-                re2, im2 = eta_hauptmodul(level, cm_point_q(QuadForm(F.a, -F.b, F.c), bits), bits)
+                re2, im2 = eta_hauptmodul(level, cm_point_q((F[0], -F[1], F[2]), bits), bits)
                 scale = max(math.isqrt(re * re + im * im), 1 << W)  # max(|j|, 1) 2^W
                 assert abs(re - re2) << bits <= scale, (d, F)
                 assert abs(im + im2) << bits <= scale, (d, F)
@@ -302,7 +302,7 @@ class TestFixedPointKernel:
         h = build_hauptmodul(P2, 200)
         poly = faber_polys(h, 15)[15]
         classes = enumerate_classes(P2, 23)
-        ctx = plan_precision(23, classes, degree=15)
+        ctx = plan_precision(P2, 23, classes, degree=15)
         for cl in classes:
             x = horner_in_q(h.series, cm_point_q(cl.eval_form, ctx.bits), ctx.terms, ctx.bits)
             got = horner_poly(poly, x, ctx.bits)
@@ -320,38 +320,38 @@ class TestFixedPointKernel:
                     continue
                 value = trace(level, D, d, memo=False).value
                 assert value == oracles.trace_value(p, D, d), (D, d)
-                up = plan_precision(d, enumerate_classes(level, d), degree=D).escalate()
+                up = plan_precision(level, d, enumerate_classes(level, d), degree=D).escalate()
                 assert trace(level, D, d, ctx0=up).value == value, (D, d)
 
 
 class TestPlanPrecision:
     def test_d4_example(self):
         classes = enumerate_classes(P2, 4)
-        ctx = plan_precision(4, classes)
+        ctx = plan_precision(P2, 4, classes)
         assert ctx.bits == 128
 
     def test_monotone_in_d(self):
         prev = 0
         for d in (4, 100, 400, 1600):
-            ctx = plan_precision(d, enumerate_classes(P2, d))
+            ctx = plan_precision(P2, d, enumerate_classes(P2, d))
             assert ctx.bits >= prev
             prev = ctx.bits
 
     def test_terms_grow_as_height_shrinks(self):
         # a min-height class list forces more series terms than a tall one
-        tall = plan_precision(400, [enumerate_classes(P2, 400)[0]])
+        tall = plan_precision(P2, 400, [enumerate_classes(P2, 400)[0]])
         classes = enumerate_classes(P2, 400)
-        low = plan_precision(400, classes)
+        low = plan_precision(P2, 400, classes)
         assert low.terms >= tall.terms
 
     def test_respects_ctx0_floor(self):
         classes = enumerate_classes(P2, 4)
-        ctx = plan_precision(4, classes, ctx0=PrecisionContext(bits=512, terms=300))
+        ctx = plan_precision(P2, 4, classes, ctx0=PrecisionContext(bits=512, terms=300))
         assert ctx.bits >= 512 and ctx.terms >= 300
 
     def test_empty_classes_rejected(self):
         with pytest.raises(ValueError):
-            plan_precision(4, [])
+            plan_precision(P2, 4, [])
 
 
 class TestRoundToInteger:

@@ -77,6 +77,16 @@ class TestFaber:
             for D in range(1, 21):
                 assert polys[D] == faber(h, D).poly, (h.p.p, D)
 
+    def test_extends_a_shorter_list(self, haupts):
+        # continuing the recurrence from P_0 ... P_5 gives the fresh list to 9
+        # and leaves the list it extends alone
+        for h in haupts.values():
+            head = faber_polys(h, 5)
+            kept = [list(P) for P in head]
+            assert faber_polys(h, 9, head) == faber_polys(h, 9)
+            assert head == kept
+            assert faber_polys(h, 3, head) == head[:4]
+
     def test_replicability_diagnostic(self, haupts):
         # Moonshine-type symmetry c_1(j_D) = D * c_D(j_1).  Not required for
         # any downstream result; asserted because it holds for every level

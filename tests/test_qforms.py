@@ -1,5 +1,6 @@
 """Unit tests for quadratic forms, Heegner class enumeration, and heights."""
 
+import hashlib
 import math
 import random
 
@@ -13,13 +14,12 @@ from moduli_traces.qforms import (
     InadmissibleDiscriminant,
     NotPositiveDefinite,
     QuadForm,
+    _class_lines,
     _complete_gamma0,
-    _line_orbits,
+    _lift,
     _reduced_triples,
     brute_force_labels,
     class_count,
-    class_from_line,
-    class_labels,
     class_reps,
     enumerate_classes,
     optimize_height,
@@ -31,6 +31,10 @@ from moduli_traces.traces import trace
 
 P2 = PrimeLevel(2)
 P3 = PrimeLevel(3)
+
+# sha256 over repr((p, d, beta, sl2_rep, line, eval_form, omega)) of every
+# class record, for d <= 300 at each supported level in order
+RECORDS_SHA256 = "485a9458079cfd9d0a45932e77b2b42abea835d8bcaee3b626f84a9c05a24245"
 
 
 class TestQuadForm:
@@ -127,11 +131,20 @@ class TestClassReps:
 
 
 class TestHeegnerLift:
-    """The Heegner lift of a class: class_from_line on its SL_2 rep and root line."""
+    """The Heegner lift of a class: _lift on its SL_2 rep and root line."""
 
     def test_examples(self):
-        assert class_from_line(QuadForm(1, 1, 6), (0, 1), P2).as_tuple() == (6, -1, 1)
-        assert class_from_line(QuadForm(1, 0, 1), (1, 1), P2).as_tuple() == (2, 2, 1)
+        assert _lift((1, 1, 6), (0, 1), 2) == (6, -1, 1)
+        assert _lift((1, 0, 1), (1, 1), 2) == (2, 2, 1)
+        assert _lift((2, 1, 3), (1, 0), 2) == (2, 1, 3)
+
+    def test_lift_is_the_matrix_transform(self):
+        # the closed forms of _lift equal R o M for its completing matrix M
+        for R in ((1, 1, 6), (2, -1, 3), (3, 2, 7), (5, 4, 9)):
+            for x0 in range(1, 14):
+                F = QuadForm(*R).transform(x0, x0 - 1, 1, 1).as_tuple()
+                assert _lift(R, (x0, 1), 1) == F
+            assert _lift(R, (0, 1), 1) == QuadForm(*R).transform(0, -1, 1, 0).as_tuple()
 
     def test_round_trip_to_sl2_class(self):
         # every class of every level and admissible d < 80, p | d included
@@ -142,25 +155,34 @@ class TestHeegnerLift:
                 if not is_admissible(d, level):
                     continue
                 for c in enumerate_classes(level, d):
-                    F = class_from_line(c.sl2_rep, c.line, level)
+                    F = QuadForm(*_lift(c.sl2_rep, c.line, p))
                     assert F.a % p == 0, (p, d, c.label)
                     assert F.b % (2 * p) == c.beta, (p, d, c.label)
-                    assert reduce_sl2(F)[0] == c.sl2_rep, (p, d, c.label)
+                    assert reduce_sl2(F)[0].as_tuple() == c.sl2_rep, (p, d, c.label)
                     checked += 1
         assert checked > 500
 
     def test_rejects_non_root_line(self):
         # x^2 + y^2 vanishes mod 2 only on the line (1 : 1)
-        assert root_lines(QuadForm(1, 0, 1), P2) == [(1, 1)]
+        assert root_lines((1, 0, 1), P2) == [(1, 1)]
         for line in [(0, 1), (1, 0)]:
-            with pytest.raises(ValueError):
-                class_from_line(QuadForm(1, 0, 1), line, P2)
+            with pytest.raises(ValueError, match="not a root line"):
+                _lift((1, 0, 1), line, 2)
 
 
 class TestOptimizeHeight:
     def test_examples(self):
-        assert optimize_height(QuadForm(6, -1, 1), P2).as_tuple() == (2, 1, 3)
-        assert optimize_height(QuadForm(2, 2, 1), P2).as_tuple() == (2, 2, 1)
+        assert optimize_height((6, -1, 1), P2) == (2, 1, 3)
+        assert optimize_height((2, 2, 1), P2) == (2, 2, 1)
+
+    def test_fricke_flip_only_when_it_pays_at_once(self):
+        # The beta=11 class of (1, 1, 9) at p=13, d=35 keeps a = 39: p c >= a
+        # there, so no flip is taken, although the other classes of d = 35
+        # reach a = 13.  The Gamma_0(13)* minimum is not sought (ROADMAP item 3).
+        cls = enumerate_classes(PrimeLevel(13), 35)
+        (c,) = [c for c in cls if c.beta == 11 and c.sl2_rep == (1, 1, 9)]
+        assert c.eval_form == (39, 37, 9)
+        assert {cl.eval_form[0] for cl in cls if cl is not c} == {13}
 
     def test_invariants_on_grid(self):
         for p in SUPPORTED_LEVELS:
@@ -169,7 +191,7 @@ class TestOptimizeHeight:
                 if not is_admissible(d, level):
                     continue
                 for cl in enumerate_classes(level, d):
-                    F = cl.eval_form
+                    F = QuadForm(*cl.eval_form)
                     assert F.a % p == 0
                     assert F.disc == -d
                     assert -F.a < F.b <= F.a  # b normalized
@@ -182,12 +204,12 @@ class TestOptimizeHeight:
         for p, d in ((2, 23), (3, 23), (5, 19), (7, 47), (13, 43)):
             level = PrimeLevel(p)
             for cl in enumerate_classes(level, d):
-                b = cl.eval_form.b % (2 * p)
+                b = cl.eval_form[1] % (2 * p)
                 assert b in {cl.beta, (2 * p - cl.beta) % (2 * p)}
 
     def test_requires_divisible_leading(self):
         with pytest.raises(ValueError):
-            optimize_height(QuadForm(1, 0, 1), P2)
+            optimize_height((1, 0, 1), P2)
 
     def test_complete_gamma0_rejects_non_primitive_column(self):
         x, m12, py, m22 = _complete_gamma0(3, 4)
@@ -203,23 +225,23 @@ class TestOptimizeHeight:
 
 class TestStabilizersAndLines:
     def test_stabilizer_orders(self):
-        assert len(sl2_stabilizer(QuadForm(1, 1, 1))) == 3
-        assert len(sl2_stabilizer(QuadForm(2, 2, 2))) == 3
-        assert len(sl2_stabilizer(QuadForm(1, 0, 1))) == 2
-        assert len(sl2_stabilizer(QuadForm(3, 0, 3))) == 2
-        assert len(sl2_stabilizer(QuadForm(1, 1, 6))) == 1
+        assert len(sl2_stabilizer((1, 1, 1))) == 3
+        assert len(sl2_stabilizer((2, 2, 2))) == 3
+        assert len(sl2_stabilizer((1, 0, 1))) == 2
+        assert len(sl2_stabilizer((3, 0, 3))) == 2
+        assert len(sl2_stabilizer((1, 1, 6))) == 1
 
     def test_stabilizer_elements_fix_form(self):
-        for form in (QuadForm(1, 1, 1), QuadForm(1, 0, 1), QuadForm(2, 2, 2)):
+        for form in ((1, 1, 1), (1, 0, 1), (2, 2, 2)):
             for m in sl2_stabilizer(form):
-                assert form.transform(*m) == form
+                assert QuadForm(*form).transform(*m).as_tuple() == form
 
     def test_root_lines(self):
         # p does not divide content: exactly two lines
-        assert len(root_lines(QuadForm(1, 1, 6), P2)) == 2
+        assert len(root_lines((1, 1, 6), P2)) == 2
         # p divides the content: all p + 1 lines are roots
-        assert len(root_lines(QuadForm(2, 2, 14), P2)) == 3
-        assert len(root_lines(QuadForm(3, 3, 3), P3)) == 4
+        assert len(root_lines((2, 2, 14), P2)) == 3
+        assert len(root_lines((3, 3, 3), P3)) == 4
 
 
 class TestEnumerateClasses:
@@ -227,13 +249,14 @@ class TestEnumerateClasses:
         cls = enumerate_classes(P2, 4)
         assert len(cls) == 1
         c = cls[0]
-        assert c.beta == 2 and c.sl2_rep.as_tuple() == (1, 0, 1) and c.omega == 2
-        assert c.eval_form.as_tuple() == (2, 2, 1)
+        assert c == HeegnerClass(beta=2, sl2_rep=(1, 0, 1), line=(1, 1),
+                                 eval_form=(2, 2, 1), omega=2)
+        assert c.label == ((1, 0, 1), (1, 1))
 
     def test_d3_level3_triple_stabilizer(self):
         cls = enumerate_classes(P3, 3)
         assert len(cls) == 1
-        assert cls[0].omega == 3 and cls[0].sl2_rep.as_tuple() == (1, 1, 1)
+        assert cls[0].omega == 3 and cls[0].sl2_rep == (1, 1, 1)
 
     def test_d23_six_trivial_classes(self):
         cls = enumerate_classes(P2, 23)
@@ -245,13 +268,13 @@ class TestEnumerateClasses:
         # [2,2,14] has 3 root lines mod 2, all in distinct Gamma_0(2)-classes
         cls = enumerate_classes(P2, 108)
         assert len(cls) == 8
-        from_2214 = [c for c in cls if c.sl2_rep.as_tuple() == (2, 2, 14)]
+        from_2214 = [c for c in cls if c.sl2_rep == (2, 2, 14)]
         assert len(from_2214) == 3
 
     def test_nontrivial_omega_beyond_small_d(self):
         # the line fixed by the order-2 stabilizer of [2,0,2] has omega = 2
         cls = enumerate_classes(P2, 16)
-        assert sorted((c.sl2_rep.as_tuple(), c.omega) for c in cls) == [
+        assert sorted((c.sl2_rep, c.omega) for c in cls) == [
             ((1, 0, 4), 1),
             ((2, 0, 2), 1),
             ((2, 0, 2), 2),
@@ -269,7 +292,7 @@ class TestEnumerateClasses:
     def test_sorted_canonically(self):
         for d in (23, 108, 16):
             cls = enumerate_classes(P2, d)
-            keys = [(c.beta, c.sl2_rep.as_tuple(), c.line) for c in cls]
+            keys = [(c.beta, c.sl2_rep, c.line) for c in cls]
             assert keys == sorted(keys)
 
     def test_counts_from_arithmetic(self):
@@ -282,7 +305,7 @@ class TestEnumerateClasses:
                     continue
                 classes = enumerate_classes(level, d)
                 assert len(sqrt_classes(d, level)) == len({c.beta for c in classes}), (p, d)
-                assert len(class_labels(level, d)) == len(classes), (p, d)
+                assert len({c.label for c in classes}) == len(classes), (p, d)
 
     @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
     def test_class_count_is_the_number_of_labels(self, p):
@@ -293,29 +316,52 @@ class TestEnumerateClasses:
             if not is_admissible(d, level):
                 continue
             for method in ("gkz", "brute"):
-                assert class_count(level, d) == len(class_labels(level, d, method)), (p, d, method)
+                n = len(enumerate_classes(level, d, method))
+                assert class_count(level, d) == n, (p, d, method)
 
     @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
     def test_line_orbits_match_the_full_orbit_computation(self, p):
+        # the root-line walk, with its mirror and trivial-stabilizer shortcuts,
+        # against the stabilizer orbits of every reduced form's root lines
         level = PrimeLevel(p)
-        reps = {R for d in range(1, 301) if is_admissible(d, level) for R in class_reps(d)}
+        reps = set()
+        for d in range(1, 301):
+            if not is_admissible(d, level):
+                continue
+            reps_d = [R.as_tuple() for R in class_reps(d)]
+            full = sorted((R, line, omega) for R in reps_d
+                          for line, omega in oracles.line_orbits(R, level))
+            assert sorted(_class_lines(level, d)) == full, (p, d)
+            reps.update(reps_d)
         assert {len(sl2_stabilizer(R)) for R in reps} == {1, 2, 3}
         # p | content needs d >= 3 p^2
-        assert any(R.a % p == R.b % p == R.c % p == 0 for R in reps) == (3 * p * p <= 300)
-        for R in reps:
-            assert _line_orbits(R, level) == oracles.line_orbits(R, level), (p, R)
+        assert any(a % p == b % p == c % p == 0 for a, b, c in reps) == (3 * p * p <= 300)
 
     def test_class_labels_are_the_unoptimized_classes(self):
-        for method in ("gkz", "brute"):
-            labels = sorted(
-                (form.b % 4, rep.as_tuple(), line, omega)
-                for rep, line, omega, form in class_labels(P2, 108, method)
-            )
-            classes = [(c.beta, c.sl2_rep.as_tuple(), c.line, c.omega)
+        # beta is b mod 2p of the lifted (gkz) or witness (brute) form, which
+        # both reduce to the class's SL_2 rep
+        lifted = [(R, line, omega, _lift(R, line, 2)) for R, line, omega in _class_lines(P2, 108)]
+        for method, forms in (("gkz", lifted), ("brute", brute_force_labels(P2, 108))):
+            labels = sorted((form[1] % 4, rep, line, omega) for rep, line, omega, form in forms)
+            classes = [(c.beta, c.sl2_rep, c.line, c.omega)
                        for c in enumerate_classes(P2, 108, method)]
             assert labels == classes
         with pytest.raises(InadmissibleDiscriminant):
-            class_labels(P2, 5)
+            enumerate_classes(P2, 5, method="brute")
+
+    def test_records_are_pinned(self):
+        # every record of every admissible d <= 300 at the five levels, as the
+        # dataclass enumeration produced them before the int-tuple kernel: the
+        # evaluation forms fix each trace's planned bits and terms and the
+        # `classes` output
+        digest = hashlib.sha256()
+        for p in SUPPORTED_LEVELS:
+            level = PrimeLevel(p)
+            for d in range(1, 301):
+                if is_admissible(d, level):
+                    for c in enumerate_classes(level, d):
+                        digest.update(repr((p, d) + tuple(c)).encode())
+        assert digest.hexdigest() == RECORDS_SHA256
 
 
 class TestBruteForceOracle:
@@ -327,7 +373,7 @@ class TestBruteForceOracle:
     def test_level3_d3_beta(self):
         labels = brute_force_labels(P3, 3)
         assert len(labels) == 1
-        assert all(w.b % 6 == 3 for *_, w in labels)
+        assert all(w[1] % 6 == 3 for *_, w in labels)
 
     def test_no_duplicate_labels(self):
         for p, d in ((2, 108), (3, 36), (5, 100)):

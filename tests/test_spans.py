@@ -34,10 +34,9 @@ codes = [
               "--dmax", "30", "--out", work + "/v.json"]),
 ]
 from moduli_traces import cm_eval
-from moduli_traces.qforms import QuadForm
 from moduli_traces.qseries import TruncatedLaurentSeries
 cm_eval.horner_in_q(TruncatedLaurentSeries(-1, [1, 0, 0]),
-                    cm_eval.cm_point_q(QuadForm(1, 0, 1), 128), 1, 128)
+                    cm_eval.cm_point_q((1, 0, 1), 128), 1, 128)
 summary = tracer.summary()
 print(json.dumps({"codes": codes, "notes": tracer.notes, **summary["sum"], **summary["max"]}))
 """

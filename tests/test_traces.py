@@ -28,8 +28,6 @@ from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
 from moduli_traces.qforms import (
     MAX_DISC,
     InadmissibleDiscriminant,
-    QuadForm,
-    class_labels,
     enumerate_classes,
 )
 from moduli_traces.qseries import WindowError
@@ -71,7 +69,7 @@ class TestTrace:
         rec = trace(P2, 1, 4)
         h = build_hauptmodul(P2, 200)
         with mpmath.workprec(256):
-            q = oracles.cm_point_q(QuadForm(2, 2, 1), 256)
+            q = oracles.cm_point_q((2, 2, 1), 256)
             val = oracles.horner_in_q(h.series, q, 150, 256).real / 4
             assert int(mpmath.nint(val)) == rec.value
             assert abs(val - rec.value) < 1e-30
@@ -159,7 +157,7 @@ class TestTrace:
         # higher degrees evaluate none
         level = PrimeLevel(13)
         classes = enumerate_classes(level, 23)
-        plans = {plan_precision(23, classes, degree=D) for D in (1, 2, 3, 5)}
+        plans = {plan_precision(level, 23, classes, degree=D) for D in (1, 2, 3, 5)}
         assert [(c.bits, c.terms) for c in plans] == [(128, 256)]
         calls = []
         real = traces_mod.eta_hauptmodul
@@ -191,7 +189,7 @@ class TestTrace:
             rec = trace(level, 1, d, memo=False)
             summed = [c.eval_form for c in enumerate_classes(level, d) if c.beta <= level.p]
             assert (len(summed), len(set(summed))) == (n_classes, n_forms)
-            assert len({(F.a, abs(F.b), F.c) for F in summed}) == n_evals
+            assert len({(a, abs(b), c) for a, b, c in summed}) == n_evals
             assert len(calls) == n_evals
             assert rec.value == oracles.trace_value(level.p, 1, d)
 
@@ -209,8 +207,8 @@ class TestTrace:
                 continue
             calls.clear()
             trace(level, 1, d, memo=False)
-            summed = {(c.eval_form.a, abs(c.eval_form.b), c.eval_form.c)
-                      for c in enumerate_classes(level, d) if c.beta <= p}
+            summed = {(a, abs(b), c) for beta, _, _, (a, b, c), _ in enumerate_classes(level, d)
+                      if beta <= p}
             assert len(calls) == len(summed), d
 
     def test_methods_agree(self):
@@ -253,7 +251,7 @@ class TestTrace:
         path = tmp_path / "c.jsonl"
         reset_state()
         try:
-            counts = {d: len(class_labels(level, d)) for d in ds}
+            counts = {d: len(enumerate_classes(level, d)) for d in ds}
             with TraceCache(path) as cache:
                 for d in ds:
                     rec = trace(level, 1, d, cache=cache)
@@ -284,7 +282,7 @@ class TestTrace:
         monkeypatch.setattr(traces_mod, "eta_hauptmodul", off_by_half)
         with pytest.raises(PrecisionFailure) as info:
             trace(P2, 1, 4, memo=False)
-        ctx = plan_precision(4, enumerate_classes(P2, 4))
+        ctx = plan_precision(P2, 4, enumerate_classes(P2, 4))
         attempts = info.value.attempts
         assert [a[:2] for a in attempts] == [
             (ctx.bits << i, ctx.terms << i) for i in range(MAX_RETRIES + 1)
@@ -321,16 +319,19 @@ class TestSeriesSizing:
         assert orders[0] >= 1 + 2
         assert orders == [4, 8]
 
-    def test_faber_list_runs_to_the_next_power_of_two(self):
+    def test_faber_list_grows_to_exactly_the_degree(self):
+        # the level's Faber list is extended to D itself, not to the next
+        # power of two: past 256 that would be the list to 512, ten times dearer
         reset_state()
         try:
             trace(P2, 15, 7)
-            polys = _state(P2).polys
+            st = _state(P2)
+            head = st.polys
+            assert head == faber_polys(build_hauptmodul(P2, 64), 15)
+            st.faber_poly(257)
+            assert len(st.polys) == 258 and st.polys[:16] == head
         finally:
             reset_state()
-        want = faber_polys(build_hauptmodul(P2, 64), 16)
-        assert len(polys) == len(want) == 17
-        assert polys[:16] == want[:16]
 
 
 class TestBCoeff:
