@@ -7,7 +7,7 @@ where the Hauptmodul of Gamma_0(p)* is built from a single eta quotient.
 from .arith import PrimeLevel, kronecker, sqrt_classes, is_admissible, splits
 from .qseries import TruncatedLaurentSeries, euler_product, eta_quotient_f
 from .hauptmodul import Hauptmodul, build_hauptmodul
-from .qforms import QuadForm, HeegnerClass, enumerate_classes, class_reps
+from .qforms import HeegnerClass, enumerate_classes, class_reps
 from .cm_eval import PrecisionContext, RoundedValue, PrecisionFailure
 from .traces import TraceRecord, CoeffTable, trace, b_coeff, a_coeff, hecke_apply
 
@@ -22,7 +22,6 @@ __all__ = [
     "eta_quotient_f",
     "Hauptmodul",
     "build_hauptmodul",
-    "QuadForm",
     "HeegnerClass",
     "enumerate_classes",
     "class_reps",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -23,6 +24,7 @@ from .traces import (
     CacheIntegrityError,
     TraceCache,
     check_ell,
+    check_reach,
     check_square,
     trace,
     verify_coeff_identities,
@@ -148,22 +150,39 @@ def cmd_trace_table(args) -> int:
     return EXIT_OK
 
 
+def _grid(level: PrimeLevel, dmax: int, reach, keep=lambda d: True) -> list[int]:
+    """The admissible d <= dmax that keep accepts, ascending.  reach(d) first
+    checks the largest of them, found by a downward scan from dmax, so a grid
+    past a bound is refused before it is built."""
+    top = next((d for d in range(dmax, 0, -1) if is_admissible(d, level) and keep(d)), None)
+    if top is None:
+        return []
+    reach(top)
+    return [d for d in range(1, top + 1) if is_admissible(d, level) and keep(d)]
+
+
 def cmd_verify(args) -> int:
     level = PrimeLevel(args.p)
-    check_ell(level, args.ell)
-    grid = [d for d in range(1, args.dmax + 1) if is_admissible(d, level)]
+    ell = args.ell
+    check_ell(level, ell)
     if args.kind == "coeff-identities":
-        D_list = [m * m for m in range(1, args.Dmax + 1) if m * m <= args.Dmax]
-        reports = [verify_coeff_identities(level, args.ell, D_list, grid)]
+        # D runs over the squares m^2 <= Dmax; with no D or no d there is no check
+        m_max = math.isqrt(max(args.Dmax, 0))
+        reach = lambda d: check_reach(ell, 1, d, m_max * m_max)
+        grid = _grid(level, args.dmax, reach) if m_max else []
+        D_list = [m * m for m in range(1, m_max + 1)] if grid else []
+        reports = [verify_coeff_identities(level, ell, D_list, grid)]
     elif args.n < 1:
         return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
     elif args.kind == "congruence":
-        ds = [args.d] if args.d is not None else [d for d in grid if splits(args.ell, d)]
-        reports = [verify_congruence(level, args.ell, d, args.n) for d in ds]
+        ds = [args.d] if args.d is not None else _grid(
+            level, args.dmax, lambda d: check_reach(ell, args.n, d), lambda d: splits(ell, d))
+        reports = [verify_congruence(level, ell, d, args.n) for d in ds]
     else:
         check_square(args.D)
-        ds = [args.d] if args.d is not None else grid
-        reports = [verify_recurrence(level, args.ell, args.D, d, args.n) for d in ds]
+        ds = [args.d] if args.d is not None else _grid(
+            level, args.dmax, lambda d: check_reach(ell, args.n, d, args.D))
+        reports = [verify_recurrence(level, ell, args.D, d, args.n) for d in ds]
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}
     _emit(obj, args.format, out=args.out)

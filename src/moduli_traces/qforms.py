@@ -11,15 +11,13 @@ p + 1 lines are roots and the beta label alone under-counts.  A direct
 brute-force scan over forms implements the same partition independently and
 serves as the oracle in the tests.
 
-Enumeration works on (a, b, c) int triples throughout: class records hold
-triples, and `QuadForm`, the validated form type, is built only by
-`class_reps`, `reduce_sl2` and the brute-force scan.
+A form is an (a, b, c) int triple throughout, and a matrix an
+(m11, m12, m21, m22) int quadruple; `_act` alone applies one to the other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import PrimeLevel, sqrt_classes, is_admissible
@@ -37,46 +35,6 @@ class NotPositiveDefinite(ValueError):
 
 class InadmissibleDiscriminant(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Positive definite integral binary form a x^2 + b xy + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a <= 0 or self.disc >= 0:
-            raise NotPositiveDefinite(f"[{self.a},{self.b},{self.c}] is not positive definite")
-
-    @property
-    def disc(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def transform(self, m11: int, m12: int, m21: int, m22: int) -> "QuadForm":
-        """Right action by the unimodular matrix [[m11, m12], [m21, m22]]."""
-        if m11 * m22 - m12 * m21 != 1:
-            raise ValueError("transformation matrix must have determinant 1")
-        a2 = self.value(m11, m21)
-        c2 = self.value(m12, m22)
-        b2 = 2 * self.a * m11 * m12 + self.b * (m11 * m22 + m12 * m21) + 2 * self.c * m21 * m22
-        return QuadForm(a2, b2, c2)
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (-a < b <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
 
 class HeegnerClass(NamedTuple):
@@ -102,10 +60,23 @@ class HeegnerClass(NamedTuple):
         return (self.sl2_rep, self.line)
 
 
-def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
-    """Gauss reduction: the unique reduced SL_2-representative and the matrix M
-    with Q o M = reduced."""
-    a, b, c = Q.a, Q.b, Q.c
+def _act(F: tuple[int, int, int], M: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """F o M, the right action of the determinant-1 matrix M = [[m11, m12],
+    [m21, m22]] on the form F = (a, b, c)."""
+    a, b, c = F
+    m11, m12, m21, m22 = M
+    return (a * m11 * m11 + b * m11 * m21 + c * m21 * m21,
+            2 * a * m11 * m12 + b * (m11 * m22 + m12 * m21) + 2 * c * m21 * m22,
+            a * m12 * m12 + b * m12 * m22 + c * m22 * m22)
+
+
+def reduce_sl2(F: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """Gauss reduction of the form F = (a, b, c): the unique reduced
+    SL_2-representative R and the matrix M with F o M = R.
+    NotPositiveDefinite unless a > 0 and b^2 - 4ac < 0."""
+    a, b, c = F
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise NotPositiveDefinite(f"[{a},{b},{c}] is not positive definite")
     m11, m12, m21, m22 = 1, 0, 0, 1
     while True:
         # translate b into (-a, a]; floor division puts b + 2ak there directly
@@ -125,13 +96,15 @@ def reduce_sl2(Q: QuadForm) -> tuple[QuadForm, tuple[int, int, int, int]]:
             m21, m22 = m22, -m21
             continue
         break
-    R = QuadForm(a, b, c)
-    if Q.transform(m11, m12, m21, m22) != R or not R.is_reduced():
+    R, M = (a, b, c), (m11, m12, m21, m22)
+    # reduced: -a < b <= a <= c, and b >= 0 when a = c
+    if (_act(F, M) != R or m11 * m22 - m12 * m21 != 1
+            or not (-a < b <= a <= c) or (a == c and b < 0)):
         raise ArithmeticError(
-            f"reduction of {Q.as_tuple()} produced {R.as_tuple()} with matrix "
-            f"{(m11, m12, m21, m22)}, which is not a reduced equivalent form"
+            f"reduction of {F} produced {R} with matrix {M}, "
+            f"which is not a reduced equivalent form"
         )
-    return R, (m11, m12, m21, m22)
+    return R, M
 
 
 def _reduced_triples(d: int):
@@ -155,15 +128,15 @@ def _reduced_triples(d: int):
             a += 1
 
 
-def class_reps(d: int) -> list[QuadForm]:
-    """All reduced forms of discriminant -d (imprimitive forms included)."""
+def class_reps(d: int) -> list[tuple[int, int, int]]:
+    """All reduced forms of discriminant -d (imprimitive forms included), as
+    sorted (a, b, c) triples."""
     reps = []
     for a, b, c in _reduced_triples(d):
-        reps.append(QuadForm(a, b, c))
+        reps.append((a, b, c))
         if 0 < b < a < c:
-            reps.append(QuadForm(a, -b, c))
-    reps.sort(key=QuadForm.as_tuple)
-    return reps
+            reps.append((a, -b, c))
+    return sorted(reps)
 
 
 def _short_vector_improvement(a: int, b: int, c: int, p: int) -> tuple[int, int] | None:
@@ -234,12 +207,7 @@ def optimize_height(F: tuple[int, int, int], p: PrimeLevel) -> tuple[int, int, i
         b, c = b + 2 * a * k, c + b * k + a * k * k
         vec = _short_vector_improvement(a, b, c, pp)
         if vec is not None:
-            m11, m12, m21, m22 = _complete_gamma0(vec[0], pp * vec[1])
-            a, b, c = (
-                a * m11 * m11 + b * m11 * m21 + c * m21 * m21,
-                2 * a * m11 * m12 + b * (m11 * m22 + m12 * m21) + 2 * c * m21 * m22,
-                a * m12 * m12 + b * m12 * m22 + c * m22 * m22,
-            )
+            a, b, c = _act((a, b, c), _complete_gamma0(vec[0], pp * vec[1]))
             continue
         if pp * c < a:
             a, b, c = pp * c, -b, a // pp
@@ -332,16 +300,9 @@ def _lift(R: tuple[int, int, int], line: tuple[int, int], pp: int) -> tuple[int,
     [[x0, x0 - 1], [1, 1]] for the line (x0 : 1), x0 != 0, [[0, -1], [1, 0]]
     for (0 : 1) and the identity for (1 : 0).  ValueError for a line that is
     not a root line."""
-    a, b, c = R
     x0, y0 = line
-    if y0 == 0:
-        F = R
-    elif x0:
-        F = (a * x0 * x0 + b * x0 + c,
-             2 * a * x0 * (x0 - 1) + b * (2 * x0 - 1) + 2 * c,
-             a * (x0 - 1) * (x0 - 1) + b * (x0 - 1) + c)
-    else:
-        F = (c, -b, a)
+    M = (1, 0, 0, 1) if y0 == 0 else (x0, x0 - 1, 1, 1) if x0 else (0, -1, 1, 0)
+    F = _act(R, M)
     if F[0] % pp:
         raise ValueError(f"{line} is not a root line of {R} mod p={pp}")
     return F
@@ -375,8 +336,7 @@ def brute_force_labels(
             if num % (4 * a):
                 continue
             form = (a, b, num // (4 * a))
-            R, m = reduce_sl2(QuadForm(*form))
-            R = R.as_tuple()
+            R, m = reduce_sl2(form)
             # form's distinguished column (1, 0), pulled back to the R-frame
             # through the inverse reduction matrix
             line, omega = _orbit_label(sl2_stabilizer(R), _canon_line(m[3], -m[2], pp), pp)

@@ -373,7 +373,7 @@ def _b_or_zero(level: PrimeLevel, D, d) -> int:
     return b_coeff(level, D, d)
 
 
-def _check_reach(ell: int, n: int, d: int, D: int = 1):
+def check_reach(ell: int, n: int, d: int, D: int = 1):
     """Raise ValueError unless the discriminant ell^(2n) d stays within
     qforms.MAX_DISC and the Faber degree ell^n sqrt(D) within MAX_DEGREE: the
     largest a verifier reaches.  The discriminant grows a factor of ell^2 at a
@@ -418,7 +418,7 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     level = _as_level(p)
     check_ell(level, ell)
     if D_list and d_list:
-        _check_reach(ell, 1, max(d_list), max(D_list))
+        check_reach(ell, 1, max(d_list), max(D_list))
     ell2 = ell * ell
     checks = []
     for D in D_list:
@@ -467,7 +467,7 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
     check_square(D)
-    _check_reach(ell, n, d, D)
+    check_reach(ell, n, d, D)
     ell2 = ell * ell
     B = lambda DD, dd: _b_or_zero(level, DD, dd)
     kD = kronecker(D, ell)
@@ -517,7 +517,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
         raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
     if not splits(ell, d):
         raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
-    _check_reach(ell, n, d)
+    check_reach(ell, n, d)
     big = trace(level, 1, ell ** (2 * n) * d)
     cong_ok = big.value % ell**n == 0
     lift = -b_coeff(level, ell ** (2 * n), d)
@@ -541,7 +541,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 # persistent JSONL cache
 
 _DECIMAL = re.compile(r"-?[0-9]+")
-_METHODS = ("gkz", "brute")  # the enumeration methods of qforms.class_labels
+_METHODS = ("gkz", "brute")  # the enumeration methods of qforms.enumerate_classes
 _INT_KEYS = ("p", "D", "d", "t", "bits", "terms")
 _raw_int_fields = operator.itemgetter(*_INT_KEYS)
 
@@ -594,6 +594,7 @@ class TraceCache:
 
     def _load(self):
         mem = self._mem
+        levels = {p: PrimeLevel(p) for p in SUPPORTED_LEVELS}
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):  # only the last line can lack one
@@ -616,8 +617,14 @@ class TraceCache:
                     method = obj["method"]
                     if method not in _METHODS:  # a tuple: an unhashable value is just absent
                         raise ValueError(f"method is {method!r}, not one of {_METHODS}")
-                    if p not in SUPPORTED_LEVELS:
+                    level = levels.get(p)
+                    if level is None:
                         raise ValueError(f"p is {p}, not one of {SUPPORTED_LEVELS}")
+                    # values no computed record has; a D or d past today's bounds
+                    # is a record of an older version, not a corrupt line
+                    if D < 1 or not is_admissible(d, level) or bits < 64 or terms < 1:
+                        raise ValueError(f"D={D}, d={d}, bits={bits}, terms={terms}: need D >= 1, "
+                                         f"d admissible for p={p}, bits >= 64 and terms >= 1")
                 except (KeyError, ValueError) as exc:
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: corrupt cache line ({exc})"

@@ -7,7 +7,9 @@ independent arithmetic.  The `libmp_*` references compute e^t, cos/sin and
 the fixed-point q and q^-1 with mpmath's libmp, as `cm_eval.cm_point_q` did
 before its integer series.  The Faber reference builds each Faber series by
 greedy subtraction of exact series, independently of the recurrence in
-`hauptmodul.faber_polys`, from the powers `series_pow` takes.
+`hauptmodul.faber_polys`, from the powers `series_pow` takes.  The form
+references act on (a, b, c) triples through values of the form alone,
+independently of the coefficient formulas of `qforms._act`.
 """
 
 from __future__ import annotations
@@ -193,3 +195,23 @@ def line_orbits(R: tuple[int, int, int], p: PrimeLevel) -> list[tuple[tuple[int,
         seen |= orbit
         orbits.append((min(orbit), len(stab) // len(orbit)))
     return orbits
+
+
+def transform(F: tuple[int, int, int], M: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """F o M for M = (m11, m12, m21, m22), from three values of F: a' = F(m11, m21),
+    c' = F(m12, m22), and b' = F(m11 + m12, m21 + m22) - a' - c', the polar form
+    of F on the two columns."""
+    a, b, c = F
+    m11, m12, m21, m22 = M
+
+    def value(x, y):
+        return a * x * x + b * x * y + c * y * y
+
+    a2, c2 = value(m11, m21), value(m12, m22)
+    return (a2, value(m11 + m12, m21 + m22) - a2 - c2, c2)
+
+
+def is_reduced(F: tuple[int, int, int]) -> bool:
+    """-a < b <= a <= c, with b >= 0 when |b| = a or a = c."""
+    a, b, c = F
+    return -a < b <= a <= c and not ((abs(b) == a or a == c) and b < 0)

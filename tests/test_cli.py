@@ -14,6 +14,7 @@ import pytest
 from moduli_traces import cli, qforms, traces
 from moduli_traces.arith import PrimeLevel
 from moduli_traces.cm_eval import fixed_width
+from moduli_traces.hauptmodul import MAX_ORDER
 from moduli_traces.traces import reset_state
 
 
@@ -42,6 +43,13 @@ class TestHauptmodul:
         obj = json.loads(out)
         assert obj["v"] == -1
         assert [int(c) for c in obj["coeffs"][:4]] == [1, 0, 783, 8672]
+
+    def test_terms_past_the_bound_exits_2_at_once(self, capsys):
+        # the window N = terms + 1 past hauptmodul.MAX_ORDER: refused before any series is built
+        code, out, err = run(capsys, "hauptmodul", "--p", "2", "--terms", "1000000000")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            f"Hauptmodul window N=1000000001 is above the supported bound {MAX_ORDER}")
 
     def test_bad_terms(self, capsys):
         code, *_ = run(capsys, "hauptmodul", "--p", "2", "--terms", "1")
@@ -200,6 +208,14 @@ class TestVerify:
          traces.MAX_DEGREE),
         ("verify coeff-identities --ell 3 --Dmax 7396 --dmax 40", "ell=3, n=1, D=7396",
          traces.MAX_DEGREE),
+        # a grid's largest member is checked before any list is built
+        (f"verify coeff-identities --ell 3 --Dmax {10**30} --dmax 7", f"ell=3, n=1, D={10**30}",
+         traces.MAX_DEGREE),
+        (f"verify coeff-identities --ell 3 --dmax {10**30}", f"ell=3, n=1, d={10**30}",
+         qforms.MAX_DISC),
+        (f"verify recurrence --ell 3 --dmax {10**30}", f"ell=3, n=1, d={10**30}",
+         qforms.MAX_DISC),
+        (f"verify congruence --ell 3 --dmax {10**30}", "ell=3, n=1, d=", qforms.MAX_DISC),
     ])
     def test_reach_past_a_bound_exits_2_at_once(self, tmp_path, capsys, argv, named, bound):
         code, out, err = run(capsys, *argv.split(), "--p", "2",
@@ -384,7 +400,11 @@ class TestCacheCommand:
         '{"p": 2, "D": 1, "d": 4, "t": -26.9, "bits": 128, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": null}',
         '{"p": 11, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
-    ], ids=["null", "list", "float-t", "method-null", "p-11"])
+        # values no put writes, which cache verify or trace would otherwise act on
+        '{"p": 2, "D": 0, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 2, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": -3, "terms": 0, "method": "gkz"}',
+    ], ids=["null", "list", "float-t", "method-null", "p-11", "D-0", "d-2", "bits-terms"])
     @pytest.mark.parametrize("argv", [("cache", "stats"), ("trace", "--p", "2", "--d", "4"),
                                       ("cache", "verify"),
                                       ("trace-table", "--p", "2", "--dmax", "8")])

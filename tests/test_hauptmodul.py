@@ -3,7 +3,7 @@
 import pytest
 
 from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel
-from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
+from moduli_traces.hauptmodul import MAX_ORDER, Hauptmodul, build_hauptmodul, faber_polys
 from oracles import faber
 from moduli_traces.qseries import TruncatedLaurentSeries, WindowError
 
@@ -37,6 +37,12 @@ class TestBuild:
     def test_rejects_tiny_window(self):
         with pytest.raises(WindowError):
             build_hauptmodul(PrimeLevel(2), 1)
+
+    def test_rejects_window_past_the_bound(self):
+        # the bound admits the 3051 terms (N = 3052) the benchmark's series workload asks for
+        assert MAX_ORDER >= 3052
+        with pytest.raises(ValueError, match=f"N={MAX_ORDER + 1} is above the supported bound {MAX_ORDER}"):
+            build_hauptmodul(PrimeLevel(2), MAX_ORDER + 1)
 
     def test_rejects_unnormalized_series(self):
         bad = TruncatedLaurentSeries(-1, [1, 5, 0, 0])

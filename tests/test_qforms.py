@@ -13,7 +13,7 @@ from moduli_traces.qforms import (
     HeegnerClass,
     InadmissibleDiscriminant,
     NotPositiveDefinite,
-    QuadForm,
+    _act,
     _class_lines,
     _complete_gamma0,
     _lift,
@@ -37,29 +37,24 @@ P3 = PrimeLevel(3)
 RECORDS_SHA256 = "485a9458079cfd9d0a45932e77b2b42abea835d8bcaee3b626f84a9c05a24245"
 
 
-class TestQuadForm:
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            QuadForm(1, 5, 1)
-        with pytest.raises(NotPositiveDefinite):
-            QuadForm(-1, 0, -1)
+def disc(F):
+    a, b, c = F
+    return b * b - 4 * a * c
 
+
+class TestAct:
     def test_transform_preserves_disc(self):
+        # _act against the reference transform, for random determinant-1
+        # matrices and forms of either sign
         rng = random.Random(11)
         for _ in range(200):
-            a = rng.randint(1, 10)
-            b = rng.randint(-10, 10)
-            c = (b * b + rng.randint(1, 40) * 4) // (4 * a) + abs(b) + 1
-            F = QuadForm(a, b, c)
-            if F.disc >= 0:
+            F = (rng.randint(-10, 10), rng.randint(-10, 10), rng.randint(-10, 10))
+            x, py = rng.randint(-20, 20), rng.randint(-20, 20)
+            if math.gcd(x, py) != 1:
                 continue
-            k = rng.randint(-3, 3)
-            assert F.transform(1, k, 0, 1).disc == F.disc
-            assert F.transform(0, -1, 1, 0).disc == F.disc
-
-    def test_transform_requires_det_one(self):
-        with pytest.raises(ValueError):
-            QuadForm(1, 0, 1).transform(2, 0, 0, 1)
+            M = _complete_gamma0(x, py)
+            assert _act(F, M) == oracles.transform(F, M)
+            assert disc(_act(F, M)) == disc(F)
 
 
 class TestReduceSL2:
@@ -68,8 +63,15 @@ class TestReduceSL2:
         [((2, 2, 1), (1, 0, 1)), ((1, 0, 1), (1, 0, 1)), ((6, -1, 1), (1, 1, 6))],
     )
     def test_examples(self, form, expect):
-        R, _ = reduce_sl2(QuadForm(*form))
-        assert R.as_tuple() == expect
+        R, _ = reduce_sl2(form)
+        assert R == expect
+
+    @pytest.mark.parametrize("form", [(1, 5, 1), (-1, 0, -1), (0, 1, 3), (0, 0, 1), (1, 2, 1)])
+    def test_rejects_indefinite(self, form):
+        # an indefinite form, a negative definite one, a = 0 and a zero
+        # discriminant are all refused
+        with pytest.raises(NotPositiveDefinite):
+            reduce_sl2(form)
 
     def test_matrix_witnesses_reduction(self):
         rng = random.Random(12)
@@ -77,11 +79,12 @@ class TestReduceSL2:
             d = rng.choice([3, 4, 7, 8, 23, 47, 108])
             base = rng.choice(class_reps(d))
             k = rng.randint(-4, 4)
-            F = base.transform(1, k, 0, 1).transform(0, -1, 1, 0)
+            F = oracles.transform(oracles.transform(base, (1, k, 0, 1)), (0, -1, 1, 0))
             R, m = reduce_sl2(F)
-            assert F.transform(*m) == R
-            assert R.is_reduced()
-            assert R.disc == F.disc
+            assert oracles.transform(F, m) == R
+            assert m[0] * m[3] - m[1] * m[2] == 1
+            assert oracles.is_reduced(R)
+            assert disc(R) == disc(F)
 
     def test_idempotent_on_class(self):
         # all reduced representatives reduce to themselves
@@ -93,13 +96,13 @@ class TestReduceSL2:
 
 class TestClassReps:
     def test_examples(self):
-        assert [f.as_tuple() for f in class_reps(4)] == [(1, 0, 1)]
-        assert [f.as_tuple() for f in class_reps(3)] == [(1, 1, 1)]
-        assert {f.as_tuple() for f in class_reps(23)} == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
+        assert class_reps(4) == [(1, 0, 1)]
+        assert class_reps(3) == [(1, 1, 1)]
+        assert class_reps(23) == [(1, 1, 6), (2, -1, 3), (2, 1, 3)]
 
     def test_imprimitive_forms_included(self):
-        assert QuadForm(2, 2, 2).as_tuple() in {f.as_tuple() for f in class_reps(12)}
-        assert QuadForm(2, 0, 2).as_tuple() in {f.as_tuple() for f in class_reps(16)}
+        assert (2, 2, 2) in class_reps(12)
+        assert (2, 0, 2) in class_reps(16)
 
     def test_known_class_counts(self):
         # form class numbers h(-d), imprimitive classes included
@@ -127,7 +130,7 @@ class TestClassReps:
             if d % 4 not in (0, 3):
                 continue
             for rep in class_reps(d):
-                assert rep.is_reduced() and rep.disc == -d
+                assert oracles.is_reduced(rep) and disc(rep) == -d
 
 
 class TestHeegnerLift:
@@ -139,12 +142,13 @@ class TestHeegnerLift:
         assert _lift((2, 1, 3), (1, 0), 2) == (2, 1, 3)
 
     def test_lift_is_the_matrix_transform(self):
-        # the closed forms of _lift equal R o M for its completing matrix M
+        # _lift equals R o M, by the reference transform, for its completing matrix M
         for R in ((1, 1, 6), (2, -1, 3), (3, 2, 7), (5, 4, 9)):
             for x0 in range(1, 14):
-                F = QuadForm(*R).transform(x0, x0 - 1, 1, 1).as_tuple()
+                F = oracles.transform(R, (x0, x0 - 1, 1, 1))
                 assert _lift(R, (x0, 1), 1) == F
-            assert _lift(R, (0, 1), 1) == QuadForm(*R).transform(0, -1, 1, 0).as_tuple()
+            assert _lift(R, (0, 1), 1) == oracles.transform(R, (0, -1, 1, 0))
+            assert _lift(R, (1, 0), 1) == R
 
     def test_round_trip_to_sl2_class(self):
         # every class of every level and admissible d < 80, p | d included
@@ -155,10 +159,11 @@ class TestHeegnerLift:
                 if not is_admissible(d, level):
                     continue
                 for c in enumerate_classes(level, d):
-                    F = QuadForm(*_lift(c.sl2_rep, c.line, p))
-                    assert F.a % p == 0, (p, d, c.label)
-                    assert F.b % (2 * p) == c.beta, (p, d, c.label)
-                    assert reduce_sl2(F)[0].as_tuple() == c.sl2_rep, (p, d, c.label)
+                    F = _lift(c.sl2_rep, c.line, p)
+                    assert F[0] % p == 0, (p, d, c.label)
+                    assert F[1] % (2 * p) == c.beta, (p, d, c.label)
+                    R, m = reduce_sl2(F)
+                    assert R == c.sl2_rep and oracles.transform(F, m) == R, (p, d, c.label)
                     checked += 1
         assert checked > 500
 
@@ -191,13 +196,13 @@ class TestOptimizeHeight:
                 if not is_admissible(d, level):
                     continue
                 for cl in enumerate_classes(level, d):
-                    F = QuadForm(*cl.eval_form)
-                    assert F.a % p == 0
-                    assert F.disc == -d
-                    assert -F.a < F.b <= F.a  # b normalized
+                    a, b, c = cl.eval_form
+                    assert a % p == 0
+                    assert disc(cl.eval_form) == -d
+                    assert -a < b <= a  # b normalized
                     # height floor: optimized a never exceeds p * sqrt(d/3)
                     # by much; assert the soft bound Im(alpha) >= sqrt(3)/(2p)
-                    assert math.sqrt(d) / (2 * F.a) >= math.sqrt(3) / (2 * p) - 1e-12
+                    assert math.sqrt(d) / (2 * a) >= math.sqrt(3) / (2 * p) - 1e-12
 
     def test_beta_preserved_up_to_sign(self):
         # Gamma_0(p) moves fix b mod 2p; each Fricke flip negates it
@@ -234,7 +239,7 @@ class TestStabilizersAndLines:
     def test_stabilizer_elements_fix_form(self):
         for form in ((1, 1, 1), (1, 0, 1), (2, 2, 2)):
             for m in sl2_stabilizer(form):
-                assert QuadForm(*form).transform(*m).as_tuple() == form
+                assert oracles.transform(form, m) == form
 
     def test_root_lines(self):
         # p does not divide content: exactly two lines
@@ -328,7 +333,7 @@ class TestEnumerateClasses:
         for d in range(1, 301):
             if not is_admissible(d, level):
                 continue
-            reps_d = [R.as_tuple() for R in class_reps(d)]
+            reps_d = class_reps(d)
             full = sorted((R, line, omega) for R in reps_d
                           for line, omega in oracles.line_orbits(R, level))
             assert sorted(_class_lines(level, d)) == full, (p, d)

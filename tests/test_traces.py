@@ -647,12 +647,33 @@ class TestTraceCache:
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": null}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": ["gkz"]}',
         '{"p": 11, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        # well-typed, but values no put writes: D < 1, an inadmissible d,
+        # bits < 64 or terms < 1
+        '{"p": 2, "D": 0, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": "-1", "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 2, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 13, "D": 1, "d": 0, "t": "0", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": -3, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 63, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 0, "method": "gkz"}',
     ])
     def test_json_that_is_not_a_record_is_corrupt(self, tmp_path, line):
         path = tmp_path / "c.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(CacheIntegrityError, match=r"c\.jsonl:1: corrupt cache line"):
             TraceCache(path)
+
+    def test_records_past_todays_bounds_still_load(self, tmp_path):
+        # D above MAX_DEGREE and d above MAX_DISC: older versions wrote such lines
+        path = tmp_path / "c.jsonl"
+        big_d = MAX_DISC + 7
+        path.write_text(
+            json.dumps({"p": 2, "D": 300, "d": 4, "t": "5", "bits": 128, "terms": 64,
+                        "method": "gkz"}) + "\n"
+            + json.dumps({"p": 2, "D": 1, "d": big_d, "t": "6", "bits": 64, "terms": 1,
+                          "method": "gkz"}) + "\n")
+        cache = TraceCache(path)
+        assert cache.get(2, 300, 4).value == 5 and cache.get(2, 1, big_d).value == 6
 
     def test_integer_fields_may_be_decimal_strings(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -732,17 +753,18 @@ class TestTraceCache:
         "print('loaded', flush=True)\n"
         "sys.stdin.readline()\n"
         "with cache:\n"
-        "    for d in range(int(sys.argv[2]), int(sys.argv[3])):\n"
-        "        cache.put(TraceRecord(p=2, D=1, d=d, value=7 * d, bits=128, terms=72,\n"
+        "    for D in range(int(sys.argv[2]), int(sys.argv[3])):\n"
+        "        cache.put(TraceRecord(p=2, D=D, d=4, value=7 * D, bits=128, terms=72,\n"
         "                              method='gkz'))\n"
     )
 
     def test_two_processes_append_overlapping_keys(self, tmp_path):
         # both writers load the file, torn last line included, before either
-        # writes; then they append 300 records each, 150 keys in common
+        # writes; then they append 300 records each, 150 keys in common.  The
+        # keys vary D at the admissible d = 4, so every line loads as a record
         path = tmp_path / "c.jsonl"
         with TraceCache(path) as cache:
-            cache.put(TraceRecord(p=2, D=1, d=1000, value=7000, bits=128, terms=72,
+            cache.put(TraceRecord(p=2, D=1000, d=4, value=7000, bits=128, terms=72,
                                   method="gkz"))
         with path.open("a") as fh:
             fh.write('{"p": 2, "D": 1, "d": 10')
@@ -773,7 +795,7 @@ class TestTraceCache:
             warnings.simplefilter("error")
             merged = TraceCache(path)  # a conflicting value would raise here
         assert merged.stats()["records"] == 451
-        assert all(merged.get(2, 1, d).value == 7 * d for d in (*range(1, 451), 1000))
+        assert all(merged.get(2, D, 4).value == 7 * D for D in (*range(1, 451), 1000))
 
     def test_conflicting_lines_abort_on_load(self, tmp_path):
         path = tmp_path / "c.jsonl"
