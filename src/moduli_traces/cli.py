@@ -295,9 +295,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, matching the invalid-input contract
         return int(exc.code or 0) and EXIT_BAD_INPUT
+    # a trace inside the bounds can pass CPython's 4300-digit limit on int/str
+    # conversion (t_256(607) at p=2 has 4303 digits): lift it while main runs
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = limit() if limit else None
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning  # one JSON object per stderr line
         try:
+            if limit:
+                sys.set_int_max_str_digits(0)
             return args.func(args)
         except ValueError as exc:
             return _fail(str(exc), EXIT_BAD_INPUT)
@@ -305,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(str(exc), EXIT_PRECISION)
         except (CacheIntegrityError, OSError) as exc:
             return _fail(str(exc), EXIT_IO)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .arith import (
     splits,
 )
 from .cm_eval import (
+    FIXED_GUARD_BITS,
     Fixed,
     PrecisionContext,
     PrecisionFailure,
@@ -154,9 +155,12 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
     makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
     distinct form (a, |b|, c): Fricke pairs share an evaluation form, and a form
     and its mirror (a, -b, c) share one evaluation, because only Re P_D(j) is
-    summed and j_p*(-conj(alpha)) is the conjugate of j_p*(alpha).  Each is
-    evaluated once per W, whatever the Faber degree, into values: value_cache,
-    or a dict private to one call.
+    summed and j_p*(-conj(alpha)) is the conjugate of j_p*(alpha).  values is
+    value_cache or a dict private to one call.  Into value_cache each form is
+    evaluated once per width bucket Wb, W rounded up to a multiple of 64, and
+    every plan whose W falls in the bucket reads it shifted down to W, whatever
+    its Faber degree; a private dict is dropped on return, so its forms are
+    evaluated at W itself.
     """
     p = st.level.p
     weights: dict[tuple[int, int, int], int] = {}  # keyed by (a, |b|, c)
@@ -176,16 +180,20 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
 
     poly = st.faber_poly(D)
 
+    memo = values is st.value_cache
+
     def compute(c: PrecisionContext) -> Fraction:
         W = fixed_width(c.bits)
+        Wb = -(-W // 64) * 64 if memo else W  # the width the values are evaluated at
+        bits, shift = Wb - FIXED_GUARD_BITS, Wb - W
         total = 0
         for form, w in weights.items():
-            key = (form, W)
+            key = (form, Wb)
             with st.lock:
                 if key not in values:
-                    q = cm_point_q(form, c.bits)
-                    values[key] = eta_hauptmodul(st.level, q, c.bits)
-            total += w * horner_poly(poly, values[key], c.bits)[0]
+                    values[key] = eta_hauptmodul(st.level, cm_point_q(form, bits), bits)
+            re, im = values[key]
+            total += w * horner_poly(poly, (re >> shift, im >> shift), c.bits)[0]
         return Fraction(total, 12 << W)
 
     try:
@@ -542,6 +550,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 _METHODS = ("gkz", "brute")  # the enumeration methods of qforms.enumerate_classes
+_LEVELS = {p: PrimeLevel(p) for p in SUPPORTED_LEVELS}
 _INT_KEYS = ("p", "D", "d", "t", "bits", "terms")
 _raw_int_fields = operator.itemgetter(*_INT_KEYS)
 
@@ -554,6 +563,22 @@ def _int_field(obj: dict, key: str) -> int:
     if type(v) is str and _DECIMAL.fullmatch(v):
         return int(v)
     raise ValueError(f"{key} is {v!r}, not an integer")
+
+
+def _check_fields(p: int, D: int, d: int, bits: int, terms: int, method) -> None:
+    """Raise ValueError unless these are the fields of a computed record: what
+    TraceCache loads and what it puts.  A D or d past today's bounds is a record
+    of an older version, so it passes."""
+    if method not in _METHODS:  # a tuple: an unhashable value is just absent
+        why = f"method is {method!r}, not one of {_METHODS}"
+    elif (level := _LEVELS.get(p)) is None:
+        why = f"p is not one of {SUPPORTED_LEVELS}"
+    elif D < 1 or not is_admissible(d, level) or bits < 64 or terms < 1:
+        why = (f"bits={bits}, terms={terms}; need D >= 1, d admissible for p={p}, "
+               "bits >= 64 and terms >= 1")
+    else:
+        return
+    raise ValueError(f"(p, D, d) = ({p}, {D}, {d}): {why}")
 
 
 def _cut_torn_line(fd: int):
@@ -594,7 +619,6 @@ class TraceCache:
 
     def _load(self):
         mem = self._mem
-        levels = {p: PrimeLevel(p) for p in SUPPORTED_LEVELS}
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.endswith("\n"):  # only the last line can lack one
@@ -615,16 +639,7 @@ class TraceCache:
                     else:
                         p, D, d, t, bits, terms = (_int_field(obj, k) for k in _INT_KEYS)
                     method = obj["method"]
-                    if method not in _METHODS:  # a tuple: an unhashable value is just absent
-                        raise ValueError(f"method is {method!r}, not one of {_METHODS}")
-                    level = levels.get(p)
-                    if level is None:
-                        raise ValueError(f"p is {p}, not one of {SUPPORTED_LEVELS}")
-                    # values no computed record has; a D or d past today's bounds
-                    # is a record of an older version, not a corrupt line
-                    if D < 1 or not is_admissible(d, level) or bits < 64 or terms < 1:
-                        raise ValueError(f"D={D}, d={d}, bits={bits}, terms={terms}: need D >= 1, "
-                                         f"d admissible for p={p}, bits >= 64 and terms >= 1")
+                    _check_fields(p, D, d, bits, terms, method)
                 except (KeyError, ValueError) as exc:
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: corrupt cache line ({exc})"
@@ -644,6 +659,10 @@ class TraceCache:
         return None if row is None else TraceRecord(p, D, d, *row, cached=True)
 
     def put(self, rec: TraceRecord):
+        """Append rec unless its key is cached with the same value, which a
+        different value contradicts (CacheIntegrityError).  A record the loader
+        would refuse raises ValueError before the file is opened."""
+        _check_fields(rec.p, rec.D, rec.d, rec.bits, rec.terms, rec.method)
         key = (rec.p, rec.D, rec.d)
         with self._lock:
             prev = self._mem.get(key)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -114,6 +115,27 @@ class TestTrace:
         assert code == 0
         assert json.loads(out)["trace"] == "614704"
 
+    def test_trace_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        # t_256(607) at p=2 has more than CPython's default 4300 digits: main
+        # lifts the int/str limit while it runs, for the printed trace, the
+        # cache line and the cache reload alike, and restores it on return
+        cache = str(tmp_path / "c.jsonl")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        outs = []
+        reset_state()
+        try:
+            for _ in range(2):
+                code, out, err = run(capsys, "trace", "--p", "2", "--D", "256", "--d", "607",
+                                     "--format", "json", "--cache", cache)
+                assert (code, err) == (0, "")
+                outs.append(json.loads(out))
+                reset_state()
+        finally:
+            reset_state()
+        assert [o["cached"] for o in outs] == [False, True]
+        assert outs[0]["trace"] == outs[1]["trace"] and len(outs[0]["trace"]) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestClasses:
     def test_count_and_fields(self, capsys):
@@ -146,6 +168,19 @@ class TestVerify:
                            "--cache", str(tmp_path / "c.jsonl"))
         assert code == 0
         assert json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("p, digest", [
+        (2, "6b0966f2c833a3294e1c2262376d2448116547b01f662d43ddc08514b16fec50"),
+        (13, "8c13ab976ba936a9ce45573a546fb904ca864abdeb85ffb6674930aecf17a5b4"),
+    ])
+    def test_coeff_identities_output_is_pinned(self, tmp_path, capsys, p, digest):
+        # the verifier's JSON, byte for byte, as measured before the value memo
+        # evaluated at 64-bit width buckets
+        code, out, _ = run(capsys, "verify", "coeff-identities", "--p", str(p), "--ell", "3",
+                           "--Dmax", "25", "--dmax", "126", "--format", "json",
+                           "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_even_ell_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "congruence", "--p", "2", "--ell", "2",

@@ -4,6 +4,7 @@ and the persistent cache."""
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -152,9 +153,10 @@ class TestTrace:
 
     def test_value_memo_is_shared_across_faber_degrees(self, monkeypatch):
         # at p=13, d=23 the degrees 1, 2, 3 and 5 all plan the same bits, and
-        # the memo keys a CM value by ((a, |b|, c), W) alone: after t_1(23)
-        # evaluated its 2 distinct (a, |b|, c), (13, 9, 2) and (26, 17, 3), the
-        # higher degrees evaluate none
+        # the memo keys a CM value by ((a, |b|, c), Wb) alone, Wb being W
+        # rounded up to a multiple of 64: after t_1(23) evaluated its 2
+        # distinct (a, |b|, c), (13, 9, 2) and (26, 17, 3), the higher degrees
+        # evaluate none
         level = PrimeLevel(13)
         classes = enumerate_classes(level, 23)
         plans = {plan_precision(level, 23, classes, degree=D) for D in (1, 2, 3, 5)}
@@ -171,6 +173,54 @@ class TestTrace:
             for D in (2, 3, 5):
                 assert trace(level, D, 23).value == oracles.trace_value(13, D, 23), D
             assert calls == []
+        finally:
+            reset_state()
+
+    def test_value_memo_serves_every_plan_in_a_width_bucket(self, monkeypatch):
+        # at p=13, d=79 the degrees 1 and 15 plan different bits, 128 and 143,
+        # so W is 160 and 175; both round up to the bucket 192, and t_15(79)
+        # shifts the 4 values t_1(79) evaluated down to its own W
+        level = PrimeLevel(13)
+        classes = enumerate_classes(level, 79)
+        assert [plan_precision(level, 79, classes, degree=D).bits for D in (1, 15)] == [128, 143]
+        assert len({(a, abs(b), c) for beta, _, _, (a, b, c), _ in classes if beta <= 13}) == 4
+        calls = []
+        real = traces_mod.eta_hauptmodul
+        monkeypatch.setattr(traces_mod, "eta_hauptmodul",
+                            lambda *args: calls.append(args) or real(*args))
+        reset_state()
+        try:
+            trace(level, 1, 79)
+            assert len(calls) == 4
+            calls.clear()
+            assert trace(level, 15, 79).value == oracles.trace_value(13, 15, 79)
+            assert calls == []
+        finally:
+            reset_state()
+
+    def test_memoized_value_does_not_depend_on_the_call_order(self):
+        # each memoized value is evaluated at its key's width, whichever plan
+        # asked for it first, so t_1(79) sums the same values either way
+        reset_state()
+        try:
+            alone = trace(PrimeLevel(13), 1, 79).residual
+            reset_state()
+            trace(PrimeLevel(13), 15, 79)
+            assert trace(PrimeLevel(13), 1, 79).residual == alone
+        finally:
+            reset_state()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_memoized_and_unmemoized_traces_agree(self, p):
+        # memoized values are evaluated at the 64-bit bucket and shifted,
+        # memo=False ones at W itself; both certify the same integer
+        level = PrimeLevel(p)
+        reset_state()
+        try:
+            for D in (1, 3, 15):
+                for d in range(1, 101):
+                    if is_admissible(d, level):
+                        assert trace(level, D, d).value == trace(level, D, d, memo=False).value, (D, d)
         finally:
             reset_state()
 
@@ -618,6 +668,28 @@ class TestTraceCache:
         fresh = TraceCache(path)
         assert fresh.get(2, 1, 4).cached is True
         assert fresh.get(2, 1, 4).residual is None  # not stored, not measured
+
+    @pytest.mark.parametrize("fields", [
+        {"D": 0}, {"D": -1}, {"d": 2}, {"d": 0}, {"bits": 63}, {"terms": 0},
+        {"p": 11}, {"method": "pell"},
+    ])
+    def test_put_refuses_a_record_the_loader_refuses(self, tmp_path, fields):
+        # refused before the file is opened: a new path is not created, and
+        # an existing file is left byte for byte
+        rec = replace(trace(P2, 1, 4), **fields)
+        name = f"({rec.p}, {rec.D}, {rec.d})"
+        with TraceCache(tmp_path / "new.jsonl") as cache:
+            with pytest.raises(ValueError, match=re.escape(name)):
+                cache.put(rec)
+        assert not (tmp_path / "new.jsonl").exists()
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            cache.put(trace(P2, 1, 7))
+        before = path.read_bytes()
+        with TraceCache(path) as cache:
+            with pytest.raises(ValueError, match=re.escape(name)):
+                cache.put(rec)
+        assert path.read_bytes() == before
 
     def test_conflicting_put_aborts(self, tmp_path):
         path = tmp_path / "c.jsonl"
