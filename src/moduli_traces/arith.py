@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 # Levels with a single-eta-quotient Hauptmodul: primes p with (p-1) | 24.
 SUPPORTED_LEVELS = (2, 3, 5, 7, 13)
@@ -18,36 +18,34 @@ class UnsupportedLevel(ValueError):
     """Raised for prime levels outside {2, 3, 5, 7, 13}."""
 
 
-@dataclass(frozen=True)
-class PrimeLevel:
+class PrimeLevel(NamedTuple("PrimeLevel", [("p", int), ("eta_exponent", int), ("fricke_const", int),
+                                            ("square_roots", Mapping[int, frozenset[int]])])):
     """A prime p with (p-1) | 24, plus the constants of its eta quotient.
 
     eta_exponent is 24/(p-1), the exponent in f_p = (eta(t)/eta(pt))^exp;
     fricke_const is p^(12/(p-1)), the constant of the Fricke relation
     f_p(-1/(pt)) = fricke_const / f_p(t).  square_roots maps each square r
-    mod 4p to the frozenset of beta mod 2p with beta^2 = r (mod 4p).
+    mod 4p to the frozenset of beta mod 2p with beta^2 = r (mod 4p).  Built
+    from p alone, and hashed by p: square_roots is a read-only mapping.
     """
 
-    p: int
-    eta_exponent: int = field(init=False)
-    fricke_const: int = field(init=False)
-    square_roots: Mapping[int, frozenset[int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p not in SUPPORTED_LEVELS:
+    def __new__(cls, p: int):
+        if p not in SUPPORTED_LEVELS:
             raise UnsupportedLevel(
-                f"level {self.p} not supported: need a prime p with (p-1) | 24, "
+                f"level {p} not supported: need a prime p with (p-1) | 24, "
                 f"i.e. p in {SUPPORTED_LEVELS}; the remaining genus-zero primes "
                 f"{UNSUPPORTED_GENUS_ZERO_PRIMES} are out of scope"
             )
-        object.__setattr__(self, "eta_exponent", 24 // (self.p - 1))
-        object.__setattr__(self, "fricke_const", self.p ** (12 // (self.p - 1)))
         roots: dict[int, set[int]] = {}
-        for b in range(2 * self.p):  # (b + 2p)^2 = b^2 (mod 4p)
-            roots.setdefault(b * b % (4 * self.p), set()).add(b)
-        object.__setattr__(
-            self, "square_roots", MappingProxyType({r: frozenset(bs) for r, bs in roots.items()})
-        )
+        for b in range(2 * p):  # (b + 2p)^2 = b^2 (mod 4p)
+            roots.setdefault(b * b % (4 * p), set()).add(b)
+        return super().__new__(cls, p, 24 // (p - 1), p ** (12 // (p - 1)),
+                               MappingProxyType({r: frozenset(bs) for r, bs in roots.items()}))
+
+    def __hash__(self):
+        return hash(self.p)
 
 
 def is_small_prime(n: int) -> bool:

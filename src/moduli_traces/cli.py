@@ -150,15 +150,30 @@ def cmd_trace_table(args) -> int:
     return EXIT_OK
 
 
-def _grid(level: PrimeLevel, dmax: int, reach, keep=lambda d: True) -> list[int]:
-    """The admissible d <= dmax that keep accepts, ascending.  reach(d) first
-    checks the largest of them, found by a downward scan from dmax, so a grid
-    past a bound is refused before it is built."""
-    top = next((d for d in range(dmax, 0, -1) if is_admissible(d, level) and keep(d)), None)
+# the largest sum of ell^(2n) d sqrt(D) over a verify grid's checks (README: its time)
+MAX_GRID_DISC = 10**7
+
+
+def _grid(args, level: PrimeLevel, n: int, D: int, weight: int, keep=lambda d: True) -> list[int]:
+    """The admissible d <= --dmax that keep accepts, ascending.  check_reach
+    first checks the largest of them at (n, D), found by a downward scan from
+    --dmax, so a grid past a bound is refused before it is built.  Then
+    ell^(2n) d sqrt(D), summed over the grid's checks, must stay within
+    MAX_GRID_DISC; `weight` is the sum of sqrt(D) over the checks at one d."""
+    top = next((d for d in range(args.dmax, 0, -1) if is_admissible(d, level) and keep(d)), None)
     if top is None:
         return []
-    reach(top)
-    return [d for d in range(1, top + 1) if is_admissible(d, level) and keep(d)]
+    check_reach(args.ell, n, top, D)
+    step, total, grid = weight * args.ell ** (2 * n), 0, []
+    for d in range(1, top + 1):
+        if is_admissible(d, level) and keep(d):
+            total += step * d
+            if total > MAX_GRID_DISC:
+                raise ValueError(f"verify {args.kind} --p {args.p} --ell {args.ell} --dmax {args.dmax}: "
+                                 f"the discriminants ell^(2n) d of its checks (n={n}), times sqrt(D), "
+                                 f"sum past the supported bound {MAX_GRID_DISC} at d={d}")
+            grid.append(d)
+    return grid
 
 
 def cmd_verify(args) -> int:
@@ -168,20 +183,18 @@ def cmd_verify(args) -> int:
     if args.kind == "coeff-identities":
         # D runs over the squares m^2 <= Dmax; with no D or no d there is no check
         m_max = math.isqrt(max(args.Dmax, 0))
-        reach = lambda d: check_reach(ell, 1, d, m_max * m_max)
-        grid = _grid(level, args.dmax, reach) if m_max else []
+        grid = _grid(args, level, 1, m_max * m_max, m_max * (m_max + 1) // 2) if m_max else []
         D_list = [m * m for m in range(1, m_max + 1)] if grid else []
         reports = [verify_coeff_identities(level, ell, D_list, grid)]
     elif args.n < 1:
         return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
     elif args.kind == "congruence":
         ds = [args.d] if args.d is not None else _grid(
-            level, args.dmax, lambda d: check_reach(ell, args.n, d), lambda d: splits(ell, d))
+            args, level, args.n, 1, 1, lambda d: splits(ell, d))
         reports = [verify_congruence(level, ell, d, args.n) for d in ds]
     else:
         check_square(args.D)
-        ds = [args.d] if args.d is not None else _grid(
-            level, args.dmax, lambda d: check_reach(ell, args.n, d, args.D))
+        ds = [args.d] if args.d is not None else _grid(args, level, args.n, args.D, math.isqrt(args.D))
         reports = [verify_recurrence(level, ell, args.D, d, args.n) for d in ds]
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}

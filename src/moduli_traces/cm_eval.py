@@ -73,9 +73,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import PrimeLevel
 from .qforms import HeegnerClass
@@ -101,23 +100,21 @@ class PrecisionFailure(ArithmeticError):
         self.attempts = attempts
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("terms", int)])):
     """Working precision plan for one evaluation batch."""
 
-    bits: int = _MIN_BITS
-    terms: int = 64
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits < 64:
+    def __new__(cls, bits: int = _MIN_BITS, terms: int = 64):
+        if bits < 64:
             raise ValueError("need at least 64 mantissa bits")
+        return super().__new__(cls, bits, terms)
 
     def escalate(self) -> "PrecisionContext":
-        return replace(self, bits=2 * self.bits, terms=2 * self.terms)
+        return PrecisionContext(2 * self.bits, 2 * self.terms)
 
 
-@dataclass(frozen=True)
-class RoundedValue:
+class RoundedValue(NamedTuple):
     """An integer certified by its rounding residual."""
 
     value: int
@@ -361,7 +358,7 @@ def plan_precision(
     for _ in range(8):
         n = math.ceil((target + 4 * math.pi * math.sqrt(n / p)) / (2 * math.pi * y_min))
     n = max(n + 8, ctx0.terms)
-    return replace(ctx0, bits=bits, terms=n)
+    return PrecisionContext(bits, n)
 
 
 def round_to_integer(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import PrimeLevel, sqrt_classes, is_admissible
+from .arith import PrimeLevel, is_admissible, kronecker, sqrt_classes
 
 
 # The largest d any enumeration accepts.  A p=2 trace just below it takes about
@@ -264,7 +264,7 @@ def root_lines(R: tuple[int, int, int], p: PrimeLevel) -> list[tuple[int, int]]:
 
 def _class_lines(p: PrimeLevel, d: int):
     """(reduced SL_2 rep, root line orbit, omega) for each Gamma_0(p)-class of
-    Q_{d,p}: the one root-line walk of `class_count` and `enumerate_classes`.
+    Q_{d,p}: the root-line walk of `enumerate_classes`.
 
     A rep with a trivial stabilizer has one class per root line, and so has its
     mirror [a, -b, c], whose root lines are (-t : 1) and (1 : 0); only
@@ -289,9 +289,20 @@ def _class_lines(p: PrimeLevel, d: int):
 
 def class_count(p: PrimeLevel, d: int) -> int:
     """The number of Gamma_0(p)-classes of Q_{d,p}, len(enumerate_classes(p, d))
-    for admissible d, from the root-line walk alone: no form is lifted or
-    height-optimized."""
-    return sum(1 for _ in _class_lines(p, d))
+    for admissible d, from one walk over the reduced forms that builds no line
+    and no class: a form with p | gcd(a, b, c) has p + 1 root lines and any
+    other 1 + (-d/p), and a form with 0 < b < a < c counts twice, for its
+    mirror.  Only [k, k, k] and [k, 0, k] count the orbits of their lines."""
+    pp, n = p.p, 0
+    plain = 1 + kronecker(-d, pp)
+    for R in _reduced_triples(d):
+        a, b, c = R
+        if a == b == c or (a == c and b == 0):
+            n += len({_orbit_label(sl2_stabilizer(R), line, pp) for line in root_lines(R, p)})
+        else:
+            lines = pp + 1 if a % pp == b % pp == c % pp == 0 else plain
+            n += 2 * lines if 0 < b < a < c else lines
+    return n
 
 
 def _lift(R: tuple[int, int, int], line: tuple[int, int], pp: int) -> tuple[int, int, int]:

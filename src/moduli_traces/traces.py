@@ -22,9 +22,9 @@ import os
 import re
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .arith import (
     SUPPORTED_LEVELS,
@@ -76,8 +76,7 @@ class CacheIntegrityError(RuntimeError):
     """Two computations disagree for the same cache key, or a cache line is corrupt."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """A certified integer trace with computation provenance."""
 
     p: int
@@ -247,7 +246,7 @@ def trace(
     if rec is None and cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
-            return replace(hit, class_count=class_count(level, d))
+            return hit._replace(class_count=class_count(level, d))
     if rec is None:
         with st.lock:
             if d not in classes:
@@ -297,23 +296,24 @@ def plus_condition(k: int, p: PrimeLevel, n: int) -> bool:
     return (n if k % 2 == 0 else -n) % (4 * p.p) in p.square_roots
 
 
-@dataclass
-class CoeffTable:
-    """Sparse Fourier coefficients of a plus-space object on window [1, n_max]."""
+class CoeffTable(NamedTuple("CoeffTable", [("k", int), ("p", PrimeLevel), ("n_max", int),
+                                            ("entries", dict[int, int])])):
+    """Sparse Fourier coefficients of a plus-space object on window [1, n_max].
 
-    k: int
-    p: PrimeLevel
-    n_max: int
-    entries: dict[int, int] = field(default_factory=dict)
+    entries defaults to a fresh empty dict for each table."""
 
-    def __post_init__(self):
-        if self.k not in (0, 1):
+    __slots__ = ()
+
+    def __new__(cls, k: int, p: PrimeLevel, n_max: int, entries: dict[int, int] | None = None):
+        if k not in (0, 1):
             raise ValueError("weight index k must be 0 or 1")
-        for n in self.entries:
-            if not (1 <= n <= self.n_max):
-                raise WindowError(f"entry at n={n} outside window [1, {self.n_max}]")
-            if not plus_condition(self.k, self.p, n):
+        entries = {} if entries is None else entries
+        for n in entries:
+            if not (1 <= n <= n_max):
+                raise WindowError(f"entry at n={n} outside window [1, {n_max}]")
+            if not plus_condition(k, p, n):
                 raise ValueError(f"entry at n={n} violates the plus condition")
+        return super().__new__(cls, k, p, n_max, entries)
 
     def get(self, n: int) -> int:
         return self.entries.get(n, 0)

@@ -45,6 +45,36 @@ class TestPrimeLevel:
         assert str(UNSUPPORTED_GENUS_ZERO_PRIMES) in msg
 
 
+class TestPrimeLevelRecord:
+    # a NamedTuple built from p alone, hashed and compared as the frozen record was
+
+    def test_equal_levels_hash_alike(self):
+        assert PrimeLevel(2) == PrimeLevel(2) and PrimeLevel(2) != PrimeLevel(3)
+        assert hash(PrimeLevel(2)) == hash(PrimeLevel(2))
+        assert {PrimeLevel(13): 1}[PrimeLevel(13)] == 1
+
+    @pytest.mark.parametrize("name", ["p", "eta_exponent", "fricke_const", "square_roots", "other"])
+    def test_fields_are_read_only(self, name):
+        with pytest.raises(AttributeError):
+            setattr(PrimeLevel(5), name, 1)
+
+    def test_square_roots_are_read_only(self):
+        with pytest.raises(TypeError):
+            PrimeLevel(5).square_roots[1] = frozenset()
+
+    def test_unpacks_as_its_fields(self):
+        p, exp, const, roots = PrimeLevel(7)
+        assert (p, exp, const) == (7, 4, 49) and roots == PrimeLevel(7).square_roots
+
+    def test_unsupported_message_is_unchanged(self):
+        with pytest.raises(UnsupportedLevel) as exc:
+            PrimeLevel(11)
+        assert str(exc.value) == (
+            "level 11 not supported: need a prime p with (p-1) | 24, i.e. p in "
+            "(2, 3, 5, 7, 13); the remaining genus-zero primes "
+            "(11, 17, 19, 23, 29, 31, 41, 47, 59, 71) are out of scope")
+
+
 class TestKronecker:
     def test_known_values(self):
         assert kronecker(-7, 11) == 1

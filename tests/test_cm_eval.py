@@ -70,6 +70,23 @@ class TestContext:
         up = ctx.escalate()
         assert up.bits == 256 and up.terms == 128
 
+    def test_63_bits_refused_64_accepted(self):
+        with pytest.raises(ValueError, match="^need at least 64 mantissa bits$"):
+            PrecisionContext(bits=63)
+        assert PrecisionContext(64) == PrecisionContext(bits=64, terms=64) == (64, 64)
+        assert PrecisionContext() == (128, 64)
+
+    @pytest.mark.parametrize("name", ["bits", "terms", "other"])
+    def test_fields_are_read_only(self, name):
+        with pytest.raises(AttributeError):
+            setattr(PrecisionContext(), name, 256)
+
+    def test_escalate_and_plan_build_contexts(self):
+        up = PrecisionContext(128, 64).escalate()
+        assert type(up) is PrecisionContext and up == (256, 128)
+        classes = enumerate_classes(P2, 7)
+        assert type(plan_precision(P2, 7, classes)) is PrecisionContext
+
 
 class TestEvalAtCM:
     def test_single_term_at_i(self):

@@ -325,6 +325,15 @@ class TestEnumerateClasses:
                 assert class_count(level, d) == n, (p, d, method)
 
     @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
+    def test_class_count_from_arithmetic_to_3000(self, p):
+        # p + 1 root lines when p | content, 1 + (-d/p) otherwise, doubled for
+        # a mirrored form: d <= 3000 reaches content p^2 and both stabilizer shapes
+        level = PrimeLevel(p)
+        for d in range(1, 3001):
+            if is_admissible(d, level):
+                assert class_count(level, d) == len(enumerate_classes(level, d)), (p, d)
+
+    @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
     def test_line_orbits_match_the_full_orbit_computation(self, p):
         # the root-line walk, with its mirror and trivial-stabilizer shortcuts,
         # against the stabilizer orbits of every reduced form's root lines

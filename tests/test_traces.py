@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -438,6 +437,23 @@ def _random_plus_table(rng, k, level, n_max, density=0.3):
     return CoeffTable(k, level, n_max, entries)
 
 
+class TestTraceRecord:
+    # a NamedTuple: read-only, copied with _replace, equal to the tuple of its fields
+
+    @pytest.mark.parametrize("name", list(TraceRecord._fields) + ["other"])
+    def test_fields_are_read_only(self, name):
+        rec = TraceRecord(2, 1, 4, -26, 128, 72, "gkz")
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+
+    def test_replace_copies_and_compares_as_a_tuple(self):
+        rec = TraceRecord(2, 1, 4, -26, 128, 72, "gkz")
+        assert rec == (2, 1, 4, -26, 128, 72, "gkz", None, None, False)
+        hit = rec._replace(class_count=1, cached=True)
+        assert hit.class_count == 1 and hit.cached and rec.class_count is None
+        assert hit[:7] == rec[:7]
+
+
 class TestCoeffTable:
     def test_plus_condition_enforced(self):
         # k=0 at p=2: n must be a square mod 8
@@ -458,6 +474,20 @@ class TestCoeffTable:
     def test_get_defaults_to_zero(self):
         t = CoeffTable(0, P2, 10, {4: 7})
         assert t.get(4) == 7 and t.get(8) == 0
+
+    def test_refusals_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^weight index k must be 0 or 1$"):
+            CoeffTable(2, P2, 10)
+        with pytest.raises(WindowError, match=re.escape("entry at n=16 outside window [1, 10]")):
+            CoeffTable(0, P2, 10, {16: 1})
+        with pytest.raises(ValueError, match=r"^entry at n=3 violates the plus condition$"):
+            CoeffTable(0, P2, 10, {3: 1})
+
+    def test_tables_without_entries_share_no_dict(self):
+        a, b = CoeffTable(0, P2, 10), CoeffTable(1, P2, 10)
+        assert a.entries == b.entries == {} and a.entries is not b.entries
+        a.entries[4] = 1
+        assert b.get(4) == 0 and CoeffTable(0, P2, 10).entries == {}
 
 
 class TestHeckeApply:
@@ -676,7 +706,7 @@ class TestTraceCache:
     def test_put_refuses_a_record_the_loader_refuses(self, tmp_path, fields):
         # refused before the file is opened: a new path is not created, and
         # an existing file is left byte for byte
-        rec = replace(trace(P2, 1, 4), **fields)
+        rec = trace(P2, 1, 4)._replace(**fields)
         name = f"({rec.p}, {rec.D}, {rec.d})"
         with TraceCache(tmp_path / "new.jsonl") as cache:
             with pytest.raises(ValueError, match=re.escape(name)):
@@ -697,7 +727,7 @@ class TestTraceCache:
             rec = trace(P2, 1, 4)
             cache.put(rec)
             with pytest.raises(CacheIntegrityError, match=r"c\.jsonl: conflicting values"):
-                cache.put(replace(rec, value=rec.value + 1))
+                cache.put(rec._replace(value=rec.value + 1))
 
     def test_corrupt_line_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -892,7 +922,7 @@ class TestTraceCache:
         # a wrong value in the in-process memo and in the cache file: verify
         # recomputes instead of reading the memo back, and reports it
         rec = trace(P2, 1, 39)
-        bad = replace(rec, value=rec.value + 1)
+        bad = rec._replace(value=rec.value + 1)
         _state(P2).trace_cache[(1, 39)] = bad
         try:
             with TraceCache(tmp_path / "c.jsonl") as cache:
