@@ -7,8 +7,8 @@ carry every value, q and q^-1 (`cm_point_q`) included: pi, ln 2, exp and
 cos/sin are integer series here, and no multiprecision library is imported.
 e^t is shared per (d, a, prec) and cos/sin(pi b/a) per angle b/a mod 2 at
 prec rounded up to 64 bits, each a function of its key alone.  A class sum
-leaves as an exact rational, which `round_to_integer` rounds with no further
-error.
+leaves as the exact integer pair (S, 12 * 2^W), which `round_to_integer`
+rounds with no further error.
 
 `eta_hauptmodul` evaluates j_p* from its eta product: with
 E(x) = prod (1 - x^n) summed by the pentagonal number theorem,
@@ -64,7 +64,11 @@ the kernel's two values agree in Re to within the error above.
 
 Correctness rests on an a-posteriori certificate: a sum counts once it lies
 within TOL of an integer; one that does not is recomputed with doubled bits
-and terms, up to MAX_RETRIES times, and no two plans are compared.  The
+and terms, up to MAX_RETRIES times, and no two plans are compared.  A class
+sum is certified as the integer pair (S, 12 * 2^W), a `Ratio`: the nearest
+integer n comes from one divmod, halves to even, and the residual
+|S - n 12 * 2^W| / (12 * 2^W) from one correctly rounded int division, the
+same n and float as round() and float() of the reduced fraction.  The
 certificate, not the heuristic envelope |c_n| <= e^{4 pi sqrt(n/p)} that
 sizes terms, is the correctness gate.
 """
@@ -73,7 +77,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .arith import PrimeLevel
@@ -112,6 +115,13 @@ class PrecisionContext(NamedTuple("PrecisionContext", [("bits", int), ("terms", 
 
     def escalate(self) -> "PrecisionContext":
         return PrecisionContext(2 * self.bits, 2 * self.terms)
+
+
+class Ratio(NamedTuple):
+    """The exact rational numerator / denominator, denominator > 0, not reduced."""
+
+    numerator: int
+    denominator: int
 
 
 class RoundedValue(NamedTuple):
@@ -361,24 +371,33 @@ def plan_precision(
     return PrecisionContext(bits, n)
 
 
+def _nearest(num: int, den: int) -> tuple[int, float]:
+    """(n, |num/den - n|) for the integer n nearest num/den, den > 0, halves to
+    even: round() and float(abs(...)) of the Fraction num/den, without its gcd."""
+    n, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and n & 1):
+        n, r = n + 1, r - den
+    return n, abs(r) / den  # int / int rounds correctly, as float(Fraction) does
+
+
 def round_to_integer(
-    x: Fraction,
+    x: Ratio,
     ctx: PrecisionContext,
-    recompute: Callable[[PrecisionContext], Fraction] | None = None,
+    recompute: Callable[[PrecisionContext], Ratio] | None = None,
 ) -> RoundedValue:
     """Nearest integer to the exact rational x, certified by its residual.
 
-    The residual |x - n| is computed exactly and rounded once to a float; a
-    residual above TOL escalates precision.  `recompute`, when given, is
-    called with the escalated context and must return a fresh value of the
-    same quantity.  Exhausting MAX_RETRIES raises PrecisionFailure: that
-    signals a bug or an inadequate model, never a value to be silently
-    rounded.
+    x is a `Ratio` or any exact rational with int `numerator` and positive
+    `denominator`, such as a `fractions.Fraction`.  The residual |x - n| is
+    computed exactly and rounded once to a float; a residual above TOL
+    escalates precision.  `recompute`, when given, is called with the
+    escalated context and must return a fresh value of the same quantity.
+    Exhausting MAX_RETRIES raises PrecisionFailure: that signals a bug or an
+    inadequate model, never a value to be silently rounded.
     """
     attempts: list[tuple[int, int, float]] = []
     while True:
-        n = round(x)
-        residual = float(abs(x - n))
+        n, residual = _nearest(x.numerator, x.denominator)
         if residual <= TOL:
             return RoundedValue(n, residual, ctx.bits, ctx.terms)
         attempts.append((ctx.bits, ctx.terms, residual))

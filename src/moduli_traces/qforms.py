@@ -70,13 +70,9 @@ def _act(F: tuple[int, int, int], M: tuple[int, int, int, int]) -> tuple[int, in
             a * m12 * m12 + b * m12 * m22 + c * m22 * m22)
 
 
-def reduce_sl2(F: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
-    """Gauss reduction of the form F = (a, b, c): the unique reduced
-    SL_2-representative R and the matrix M with F o M = R.
-    NotPositiveDefinite unless a > 0 and b^2 - 4ac < 0."""
-    a, b, c = F
-    if a <= 0 or b * b - 4 * a * c >= 0:
-        raise NotPositiveDefinite(f"[{a},{b},{c}] is not positive definite")
+def _gauss(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """The Gauss reduction loop for a positive definite (a, b, c): the reduced
+    form R and the matrix M with (a, b, c) o M = R, unchecked."""
     m11, m12, m21, m22 = 1, 0, 0, 1
     while True:
         # translate b into (-a, a]; floor division puts b + 2ak there directly
@@ -95,8 +91,19 @@ def reduce_sl2(F: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int
             m11, m12 = m12, -m11
             m21, m22 = m22, -m21
             continue
-        break
-    R, M = (a, b, c), (m11, m12, m21, m22)
+        return (a, b, c), (m11, m12, m21, m22)
+
+
+def reduce_sl2(F: tuple[int, int, int]) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """Gauss reduction of the form F = (a, b, c): the unique reduced
+    SL_2-representative R and the matrix M with F o M = R.
+    NotPositiveDefinite unless a > 0 and b^2 - 4ac < 0."""
+    a, b, c = F
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise NotPositiveDefinite(f"[{a},{b},{c}] is not positive definite")
+    R, M = _gauss(a, b, c)
+    a, b, c = R
+    m11, m12, m21, m22 = M
     # reduced: -a < b <= a <= c, and b >= 0 when a = c
     if (_act(F, M) != R or m11 * m22 - m12 * m21 != 1
             or not (-a < b <= a <= c) or (a == c and b < 0)):
@@ -139,39 +146,23 @@ def class_reps(d: int) -> list[tuple[int, int, int]]:
     return sorted(reps)
 
 
-def _short_vector_improvement(a: int, b: int, c: int, p: int) -> tuple[int, int] | None:
-    """A vector (x, p*y), gcd(x, p*y) = 1, with F(x, p*y) < a for F = [a, b, c],
-    if one exists.
-
-    Enumerates the auxiliary positive definite form G(x, y) = F(x, p*y)
-    inside the exact box |y| <= sqrt(4 A m / disc'), returning the minimum.
-    """
-    A, B, C = a, b * p, c * p * p
-    m = a  # strict improvement threshold
-    det4 = 4 * A * C - B * B  # = p^2 * d > 0
-    if det4 > 4 * A * (m - 1):  # only y = 0 is left, and x = +-1 gives a itself
-        return None
+def _least_admissible_vector(a: int, b: int, c: int, p: int) -> tuple[int, int] | None:
+    """The vector (x, y) with gcd(x, p*y) = 1 at which G(x, y) = F(x, p*y),
+    for F = [a, b, c], takes its least value, the first in (y, x) order among
+    ties, if that value is below a; else None.  See `optimize_height`."""
+    (A, B, C), (m11, m12, m21, m22) = _gauss(a, b * p, c * p * p)
     best = None
-    best_val = m
-    ymax = math.isqrt(4 * A * (m - 1) // det4)
-    for y in range(-ymax, ymax + 1):
-        # solve A x^2 + B x y + (C y^2 - m) < 0 for x
-        disc = B * B * y * y - 4 * A * (C * y * y - m)
-        if disc <= 0:
+    # G at e1, e2, e1 + e2 and e1 - e2 of the reduced basis, each the image of
+    # a primitive vector under M, so admissible exactly when p does not divide x
+    for val, x, y in ((A, m11, m21), (C, m12, m22), (A + B + C, m11 + m12, m21 + m22),
+                      (A - B + C, m11 - m12, m21 - m22)):
+        if val >= a or x % p == 0:
             continue
-        r = math.isqrt(disc)
-        xlo = (-B * y - r) // (2 * A) - 1
-        xhi = (-B * y + r) // (2 * A) + 1
-        for x in range(xlo, xhi + 1):
-            if x == 0 and y == 0:
-                continue
-            if math.gcd(x, p * y) != 1:
-                continue
-            val = A * x * x + B * x * y + C * y * y
-            if val < best_val:
-                best_val = val
-                best = (x, y)
-    return best
+        if y > 0 or (y == 0 and x > 0):  # of +-v, the first in (y, x) order
+            x, y = -x, -y
+        if best is None or (val, y, x) < best:
+            best = (val, y, x)
+    return None if best is None else (best[2], best[1])
 
 
 def _complete_gamma0(x: int, py: int) -> tuple[int, int, int, int]:
@@ -189,28 +180,45 @@ def optimize_height(F: tuple[int, int, int], p: PrimeLevel) -> tuple[int, int, i
     """Lower the leading coefficient of F = (a, b, c), p | a, by Gamma_0(p) moves
     and Fricke flips.
 
-    Alternates short-vector improvements (Gamma_0(p) moves that strictly
-    decrease a) with the Fricke flip [a, b, c] -> [p c, -b, a/p], taken only
-    when p c < a, normalizing b into (-a, a] before each step.  Terminates: a
-    strictly decreases through positive integers.  The result has the least a
-    of its own Gamma_0(p)-class, but not always the least of the
-    Gamma_0(p)*-orbit: the Fricke image's Gamma_0(p)-minimum can have a smaller
-    a although p c >= a.  That happens in 80, 202 and 889 classes at p = 5, 7
-    and 13 (ROADMAP, open item 3).  ValueError unless p | a.
+    The leading coefficients of the Gamma_0(p)-class of F are the values of F
+    at its admissible vectors (x, p*y), gcd(x, p*y) = 1, the first columns of
+    Gamma_0(p): the values of G(x, y) = F(x, p*y) at the primitive (x, y) with
+    p not dividing x.  One Gauss reduction of G gives a basis e1, e2 in which
+    G is [A, B, C], |B| <= A <= C, and every minimal admissible vector is one
+    of +-e1, +-e2 and +-(e1 +- e2).  If p does not divide x at e1, the least
+    value of G is A, taken only at +-e1, at +-e2 when A = C and at
+    +-(e1 - sgn(B) e2) when |B| = A = C.  Otherwise the admissible vectors are
+    the primitive (u e1 + v e2) with p not dividing v, and a reduced G is at
+    least C wherever v != 0, with equality only at +-e2 and, when |B| = A, at
+    +-(e1 - sgn(B) e2).  Of the minimal admissible vectors the first in
+    (y, x) order is taken: least y, then least x.
+
+    If its value is below a, the form moves there by the Gamma_0(p) matrix
+    completing (x, p*y), which reaches the least a of the Gamma_0(p)-class, so
+    the next step is the Fricke flip [a, b, c] -> [p c, -b, a/p], taken only
+    when p c < a, after which the search runs again; b is normalized into
+    (-a, a] before each step.  Terminates: a strictly decreases through
+    positive integers.  The result has the least a of its own
+    Gamma_0(p)-class, but not always the least of the Gamma_0(p)*-orbit: the
+    Fricke image's Gamma_0(p)-minimum can have a smaller a although p c >= a.
+    That happens in 80, 202 and 889 classes at p = 5, 7 and 13 (ROADMAP, open
+    item 3).  ValueError unless p | a.
     """
     pp = p.p
     a, b, c = F
     if a % pp:
         raise ValueError("optimize_height needs p | a")
+    search = True
     while True:
         k = (a - b) // (2 * a)  # translate b into (-a, a] (translations stay in Gamma_0(p))
         b, c = b + 2 * a * k, c + b * k + a * k * k
-        vec = _short_vector_improvement(a, b, c, pp)
-        if vec is not None:
+        if search and (vec := _least_admissible_vector(a, b, c, pp)) is not None:
             a, b, c = _act((a, b, c), _complete_gamma0(vec[0], pp * vec[1]))
+            search = False
             continue
         if pp * c < a:
             a, b, c = pp * c, -b, a // pp
+            search = True
             continue
         break
     if a % pp:

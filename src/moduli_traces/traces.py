@@ -22,7 +22,6 @@ import os
 import re
 import threading
 import warnings
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,6 +40,7 @@ from .cm_eval import (
     Fixed,
     PrecisionContext,
     PrecisionFailure,
+    Ratio,
     cm_point_q,
     eta_hauptmodul,
     fixed_width,
@@ -181,7 +181,7 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
 
     memo = values is st.value_cache
 
-    def compute(c: PrecisionContext) -> Fraction:
+    def compute(c: PrecisionContext) -> Ratio:
         W = fixed_width(c.bits)
         Wb = -(-W // 64) * 64 if memo else W  # the width the values are evaluated at
         bits, shift = Wb - FIXED_GUARD_BITS, Wb - W
@@ -193,7 +193,7 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
                     values[key] = eta_hauptmodul(st.level, cm_point_q(form, bits), bits)
             re, im = values[key]
             total += w * horner_poly(poly, (re >> shift, im >> shift), c.bits)[0]
-        return Fraction(total, 12 << W)
+        return Ratio(total, 12 << W)
 
     try:
         rounded = round_to_integer(compute(ctx), ctx, recompute=compute)
@@ -336,8 +336,11 @@ def hecke_apply(t: CoeffTable, ell: int) -> CoeffTable:
         raise WindowError(
             f"input window {t.n_max} too small: need at least ell^2 = {ell2}"
         )
+    # only an n with an entry at n, ell^2 n or n/ell^2 can have a nonzero value
+    near = {n for m in t.entries for n in (m, ell2 * m, m // ell2 if m % ell2 == 0 else 0)
+            if 1 <= n <= out_max}
     out: dict[int, int] = {}
-    for n in range(1, out_max + 1):
+    for n in sorted(near):
         if not plus_condition(t.k, t.p, n):
             continue
         a_up = t.get(ell2 * n)

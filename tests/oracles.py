@@ -9,7 +9,9 @@ before its integer series.  The Faber reference builds each Faber series by
 greedy subtraction of exact series, independently of the recurrence in
 `hauptmodul.faber_polys`, from the powers `series_pow` takes.  The form
 references act on (a, b, c) triples through values of the form alone,
-independently of the coefficient formulas of `qforms._act`.
+independently of the coefficient formulas of `qforms._act`.  The height
+reference finds the least admissible vector by a box scan, as
+`qforms.optimize_height` did before its Gauss reduction.
 """
 
 from __future__ import annotations
@@ -215,3 +217,38 @@ def is_reduced(F: tuple[int, int, int]) -> bool:
     """-a < b <= a <= c, with b >= 0 when |b| = a or a = c."""
     a, b, c = F
     return -a < b <= a <= c and not ((abs(b) == a or a == c) and b < 0)
+
+
+def short_vector_improvement(a: int, b: int, c: int, p: int) -> tuple[int, int] | None:
+    """A vector (x, p*y), gcd(x, p*y) = 1, with F(x, p*y) < a for F = [a, b, c],
+    if one exists: the least such value, the first in (y, x) order.
+
+    Enumerates the auxiliary positive definite form G(x, y) = F(x, p*y)
+    inside the exact box |y| <= sqrt(4 A m / disc'), returning the minimum.
+    """
+    A, B, C = a, b * p, c * p * p
+    m = a  # strict improvement threshold
+    det4 = 4 * A * C - B * B  # = p^2 * d > 0
+    if det4 > 4 * A * (m - 1):  # only y = 0 is left, and x = +-1 gives a itself
+        return None
+    best = None
+    best_val = m
+    ymax = math.isqrt(4 * A * (m - 1) // det4)
+    for y in range(-ymax, ymax + 1):
+        # solve A x^2 + B x y + (C y^2 - m) < 0 for x
+        disc = B * B * y * y - 4 * A * (C * y * y - m)
+        if disc <= 0:
+            continue
+        r = math.isqrt(disc)
+        xlo = (-B * y - r) // (2 * A) - 1
+        xhi = (-B * y + r) // (2 * A) + 1
+        for x in range(xlo, xhi + 1):
+            if x == 0 and y == 0:
+                continue
+            if math.gcd(x, p * y) != 1:
+                continue
+            val = A * x * x + B * x * y + C * y * y
+            if val < best_val:
+                best_val = val
+                best = (x, y)
+    return best

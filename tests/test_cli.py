@@ -497,13 +497,36 @@ class TestStartupModules:
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 
+class TestNoFractions:
+    # a fresh interpreter: the test process has loaded fractions and decimal;
+    # a class sum is certified on an integer pair, never as a Fraction
+    SCRIPT = (
+        "import sys; from moduli_traces import cli; "
+        "code = cli.main(sys.argv[1:]); "
+        "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
+    cli = TestMpmathImport.cli
+
+    def test_warm_table_and_cold_identities_load_neither_fractions_nor_decimal(self, tmp_path):
+        cache = tmp_path / "c.jsonl"
+        argv = ("trace-table", "--p", "2", "--dmax", "24", "--cache", str(cache))
+        assert cli.main([*argv, "--out", str(tmp_path / "cold.csv")]) == 0
+        cache.chmod(0o444)
+        assert self.cli(*argv, "--out", str(tmp_path / "warm.csv")) == "0 False False"
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        assert self.cli("verify", "coeff-identities", "--p", "13", "--ell", "3",
+                        "--Dmax", "4", "--dmax", "12", "--out", str(tmp_path / "v.json")
+                        ) == "0 False False"
+
+
 class TestGridBound:
-    # the discriminants ell^(2n) d of a verify grid's checks, each times sqrt(D),
-    # sum to at most cli.MAX_GRID_DISC; _grid refuses before any trace is computed
+    # the discriminants ell^(2n) d of a verify grid's checks, each times
+    # cli.degree_cost(sqrt(D)), sum to at most cli.MAX_GRID_DISC; _grid refuses
+    # before any trace is computed
 
     @pytest.mark.parametrize("kind, flags, dmax, first", [
-        ("coeff-identities", (), 1000000, 768),  # passes the reach check, then ran for minutes
-        ("recurrence", ("--D", "7225"), 264, 264),  # 85 times the weight of D = 1
+        ("coeff-identities", (), 1000000, 608),  # passes the reach check, then ran for minutes
+        ("recurrence", ("--D", "7225"), 87, 87),  # 783 times the weight of D = 1
     ])
     def test_over_bound_grid_exits_2_at_once(self, capsys, kind, flags, dmax, first):
         code, out, err = run(capsys, "verify", kind, "--p", "2", "--ell", "3", *flags,
@@ -513,22 +536,29 @@ class TestGridBound:
         assert msg.startswith(f"verify {kind} --p 2 --ell 3 --dmax {dmax}: ")
         assert msg.endswith(f"supported bound {cli.MAX_GRID_DISC} at d={first}")
 
-    @pytest.mark.parametrize("kind, n, D, weight, keep, top", [
-        ("coeff-identities", 1, 16, 1 + 2 + 3 + 4, None, 767),  # D = 1, 4, 9, 16 at each d
-        ("congruence", 1, 1, 1, "splits", 4208),
-        ("recurrence", 1, 1, 1, None, 2431),
-        ("recurrence", 2, 1, 1, None, 808),
-        ("recurrence", 1, 7225, 85, None, 263),
+    @pytest.mark.parametrize("kind, n, D, degrees, weight, keep, top", [
+        # D = 1, 4, 9, 16 at each d
+        ("coeff-identities", 1, 16, range(1, 5), 1 + 2 + 5 + 8, None, 607),
+        ("coeff-identities", 1, 7225, range(1, 86), 27001, None, 12),
+        ("congruence", 1, 1, (1,), 1, "splits", 4208),
+        ("recurrence", 1, 1, (1,), 1, None, 2431),
+        ("recurrence", 2, 1, (1,), 1, None, 808),
+        ("recurrence", 1, 7225, (85,), 783, None, 84),
     ])
-    def test_largest_grid_is_accepted_and_one_more_d_is_not(self, kind, n, D, weight, keep, top):
+    def test_largest_grid_is_accepted_and_one_more_d_is_not(self, kind, n, D, degrees, weight,
+                                                              keep, top):
+        assert sum(map(cli.degree_cost, degrees)) == weight
         keep = (lambda d: splits(3, d)) if keep else (lambda d: True)
         args = argparse.Namespace(kind=kind, p=2, ell=3, dmax=top)
-        grid = cli._grid(args, PrimeLevel(2), n, D, weight, keep)
+        grid = cli._grid(args, PrimeLevel(2), n, D, degrees, keep)
         assert grid[-1] == top and 9**n * weight * sum(grid) <= cli.MAX_GRID_DISC
         nxt = next(d for d in range(top + 1, 2 * top) if is_admissible(d, PrimeLevel(2)) and keep(d))
         with pytest.raises(ValueError, match=f"at d={nxt}$"):
             cli._grid(argparse.Namespace(kind=kind, p=2, ell=3, dmax=nxt), PrimeLevel(2), n, D,
-                      weight, keep)
+                      degrees, keep)
+
+    def test_degree_cost_is_the_floor_of_m_to_the_three_halves(self):
+        assert [cli.degree_cost(m) for m in (1, 2, 3, 4, 5, 85, 256)] == [1, 2, 5, 8, 11, 783, 4096]
 
 
 class TestArgumentContract:

@@ -1,6 +1,7 @@
 """Unit tests for high-precision CM evaluation and rounding certificates."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -407,3 +408,46 @@ class TestRoundToInteger:
         with pytest.raises(PrecisionFailure):
             round_to_integer(Fraction(1, 2), ctx, recompute=stuck)
         assert MAX_RETRIES == 4 and calls == [256, 512, 1024, 2048]
+
+
+class TestIntegerPairCertificate:
+    # a class sum is certified as the pair (S, 12 * 2^W), never as a Fraction
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(23)
+        for _ in range(4000):
+            W = rng.choice([0, 1, 7, 64, 160, 1000, 4000])
+            den = rng.choice([1, 3, 12]) << W
+            n = rng.randint(-2**rng.randint(1, 300), 2**rng.randint(1, 300))
+            kind = rng.randrange(4)
+            if kind == 0:  # an exact half, odd or even below it
+                if den % 2:
+                    den *= 2
+                yield n * den + den // 2, den
+            elif kind == 1:  # within a few units of an integer
+                yield n * den + rng.randint(-3, 3), den
+            elif kind == 2:  # anywhere
+                yield n * den + rng.randrange(den), den
+            else:  # a residual below the smallest float
+                yield (n << 1200) + rng.choice([-1, 1]), 1 << 1200
+
+    def test_nearest_matches_round_and_float_of_the_fraction(self):
+        halves = 0
+        for num, den in self.pairs():
+            x = Fraction(num, den)
+            n = round(x)
+            got = cm_eval._nearest(num, den)
+            assert got == (n, float(abs(x - n))), (num, den)
+            assert type(got[1]) is float
+            halves += x.denominator == 2
+        assert halves > 500
+
+    def test_a_ratio_and_a_fraction_certify_alike(self):
+        ctx = PrecisionContext(bits=128)
+        num, den = 42 * (12 << 160) + 5, 12 << 160
+        pair = round_to_integer(cm_eval.Ratio(num, den), ctx)
+        assert pair == round_to_integer(Fraction(num, den), ctx)
+        assert pair.value == 42 and 0 < pair.residual < TOL
+        with pytest.raises(PrecisionFailure):
+            round_to_integer(cm_eval.Ratio(83 * 6 << 64, 12 << 64), ctx)

@@ -16,6 +16,7 @@ from moduli_traces.qforms import (
     _act,
     _class_lines,
     _complete_gamma0,
+    _least_admissible_vector,
     _lift,
     _reduced_triples,
     brute_force_labels,
@@ -226,6 +227,70 @@ class TestOptimizeHeight:
     def test_complete_gamma0_keeps_column_with_determinant_1(self, x, py):
         a, b, c, d = _complete_gamma0(x, py)
         assert (a, c) == (x, py) and a * d - b * c == 1
+
+
+def box_scan_height(F, p):
+    """optimize_height as it was with the box scan: a search at every form it
+    visits, after a move too, where the reduction-based search must agree."""
+    a, b, c = F
+    while True:
+        k = (a - b) // (2 * a)
+        b, c = b + 2 * a * k, c + b * k + a * k * k
+        vec = oracles.short_vector_improvement(a, b, c, p)
+        assert _least_admissible_vector(a, b, c, p) == vec, (F, (a, b, c), p)
+        if vec is not None:
+            a, b, c = _act((a, b, c), _complete_gamma0(vec[0], p * vec[1]))
+        elif p * c < a:
+            a, b, c = p * c, -b, a // p
+        else:
+            return (a, b, c)
+
+
+class TestHeightSearch:
+    # the Gauss-reduction search of optimize_height against the box scan
+
+    @pytest.mark.parametrize("p", SUPPORTED_LEVELS)
+    def test_matches_the_box_scan_on_every_form_visited(self, p):
+        level = PrimeLevel(p)
+        for d in range(1, 1001):
+            if is_admissible(d, level):
+                for R, line, _ in _class_lines(level, d):
+                    F = _lift(R, line, p)
+                    assert optimize_height(F, level) == box_scan_height(F, p), (p, d, F)
+
+    @pytest.mark.parametrize("p, F, shape, vec", [
+        # reduced G = [A, 0, A]: four minimal vectors
+        (2, (10, -6, 1), "square", (-1, -2)),
+        (3, (18, 18, 5), "square", (1, -1)),
+        (5, (10, 6, 1), "square", (1, -1)),
+        (13, (26, 10, 1), "square", (2, -1)),
+        # reduced G = [A, A, A]: four or six minimal vectors
+        (2, (12, 6, 1), "hexagonal", (1, -2)),
+        (3, (21, -9, 1), "hexagonal", (-2, -3)),
+        (5, (75, -45, 7), "hexagonal", (-3, -2)),
+        (7, (21, 9, 1), "hexagonal", (3, -2)),
+        (13, (39, -33, 7), "hexagonal", (-11, -2)),
+    ])
+    def test_ties_take_the_first_vector_in_y_x_order(self, p, F, shape, vec):
+        a, b, c = F
+        (A, B, C), _ = reduce_sl2((a, b * p, c * p * p))
+        assert (A == C and B == 0) if shape == "square" else (B == A == C)
+        g = lambda x, y: a * x * x + b * x * p * y + c * p * p * y * y
+        least = g(*vec)
+        ties = [(x, y) for y in range(-9, 10) for x in range(-30, 31)
+                if math.gcd(x, p * y) == 1 and g(x, y) == least]
+        assert len(ties) >= 4 and ties[0] == vec
+        assert _least_admissible_vector(a, b, c, p) == vec
+        assert oracles.short_vector_improvement(a, b, c, p) == vec
+
+    def test_matches_the_box_scan_on_small_forms(self):
+        # every positive definite [a, b, c] with p | a <= 60, -a < b <= a, c <= 40
+        for p in SUPPORTED_LEVELS:
+            for a in range(p, 61, p):
+                for b in range(1 - a, a + 1):
+                    for c in range(b * b // (4 * a) + 1, 41):
+                        assert (_least_admissible_vector(a, b, c, p)
+                                == oracles.short_vector_improvement(a, b, c, p)), (p, a, b, c)
 
 
 class TestStabilizersAndLines:

@@ -519,6 +519,36 @@ class TestHeckeApply:
                 if plus_condition(k, level, n):
                     assert out.get(n) == generic_hecke(t.entries, k, ell, n), (k, level.p, ell, n)
 
+    def test_sparse_tables_match_the_dense_reference(self):
+        # few entries, placed where the sparse step could miss one: the top of
+        # the window, multiples of ell^2 and ell^4, and explicit zeros
+        rng = random.Random(7)
+        for k in (0, 1):
+            for ell in (3, 5, 7):
+                for p in (2, 3, 5, 7, 13):
+                    if p == ell:
+                        continue
+                    level, ell2 = PrimeLevel(p), ell * ell
+                    for _ in range(12):
+                        n_max = rng.randint(ell2, 3000)
+                        plus = [n for n in range(1, n_max + 1) if plus_condition(k, level, n)]
+                        picks = rng.sample(plus, min(len(plus), rng.randint(0, 6)))
+                        picks += plus[-2:]  # the top of the window
+                        picks += [n for n in plus if n % ell2 == 0][:3]
+                        picks += [n for n in plus if n % (ell2 * ell2) == 0][:2]
+                        entries = {n: rng.randint(-50, 50) for n in picks}
+                        for n in rng.sample(picks, min(len(picks), 3)):
+                            entries[n] = 0
+                        t = CoeffTable(k, level, n_max, entries)
+                        out = hecke_apply(t, ell)
+                        dense = {}
+                        for n in range(1, n_max // ell2 + 1):
+                            if plus_condition(k, level, n):
+                                if val := generic_hecke(entries, k, ell, n):
+                                    dense[n] = val
+                        assert list(out.entries.items()) == list(dense.items()), (k, p, ell, n_max)
+                        assert out.n_max == n_max // ell2
+
     def test_plus_space_closure_random(self):
         rng = random.Random(123)
         for _ in range(1000):
