@@ -21,6 +21,7 @@ from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
 from .qforms import enumerate_classes
 from .traces import (
+    MAX_COST,
     CacheIntegrityError,
     TraceCache,
     check_ell,
@@ -150,41 +151,26 @@ def cmd_trace_table(args) -> int:
     return EXIT_OK
 
 
-# the largest sum of ell^(2n) d degree_cost(sqrt(D)) over a verify grid's
-# checks (README: its time)
-MAX_GRID_DISC = 10**7
-
-
-def degree_cost(m: int) -> int:
-    """m^(3/2), rounded down: what a check whose trace at its top discriminant
-    has Faber degree m is charged, in units of degree 1.  Measured at p=2 on a
-    2-vCPU host, a degree-85 trace took about 85, 85^1.3 and 85^1.6 times as
-    long as a degree-1 trace at d near 300, 1200 and 4800, and with m^(3/2)
-    the largest grids the bound admits run 2-11 s each (README)."""
-    return math.isqrt(m**3)
-
-
 def _grid(args, level: PrimeLevel, n: int, D: int, degrees, keep=lambda d: True) -> list[int]:
     """The admissible d <= --dmax that keep accepts, ascending.  check_reach
     first checks the largest of them at (n, D), found by a downward scan from
-    --dmax, so a grid past a bound is refused before it is built.  Then
-    ell^(2n) d degree_cost(sqrt(D)), summed over the grid's checks, must stay
-    within MAX_GRID_DISC; `degrees` holds sqrt(D) for each check at one d, and
-    is read only after check_reach has bounded D."""
+    --dmax, so a grid past a bound is refused before it is built.  Then the
+    charges check_reach gives the grid's checks must sum to at most
+    traces.MAX_COST; `degrees` holds sqrt(D) for each check at one d, and is
+    read only after check_reach has bounded D."""
     top = next((d for d in range(args.dmax, 0, -1) if is_admissible(d, level) and keep(d)), None)
     if top is None:
         return []
     check_reach(args.ell, n, top, D)
-    step = sum(map(degree_cost, degrees)) * args.ell ** (2 * n)
     total, grid = 0, []
     for d in range(1, top + 1):
         if is_admissible(d, level) and keep(d):
-            total += step * d
-            if total > MAX_GRID_DISC:
+            total += sum(check_reach(args.ell, n, d, m * m) for m in degrees)
+            if total > MAX_COST:
                 raise ValueError(f"verify {args.kind} --p {args.p} --ell {args.ell} --dmax {args.dmax}: "
                                  f"the discriminants ell^(2n) d of its checks (n={n}), times "
                                  f"the cost of Faber degree sqrt(D), sum past the supported "
-                                 f"bound {MAX_GRID_DISC} at d={d}")
+                                 f"bound {MAX_COST} at d={d}")
             grid.append(d)
     return grid
 

@@ -63,6 +63,19 @@ from .qseries import WindowError
 # 512 on a 2-vCPU host, the time growing faster than D^3 (see README)
 MAX_DEGREE = 256
 
+# the largest charge of a request (README): d degree_cost(D) for a trace (at
+# D = 1 this is qforms.MAX_DISC), check_reach's for a verify check, their sum for a grid
+MAX_COST = 10**7
+
+
+def degree_cost(m: int) -> int:
+    """m^(3/2), rounded down: what a trace of Faber degree m is charged per
+    unit of d, in units of degree 1.  Measured at p=2 on a 2-vCPU host, a
+    degree-85 trace took about 85, 85^1.3 and 85^1.6 times as long as a
+    degree-1 trace at d near 300, 1200 and 4800, and with m^(3/2) the largest
+    grids the bound admits run 2-11 s each (README)."""
+    return math.isqrt(m**3)
+
 
 class HypothesisViolation(ValueError):
     """A verifier input fails a theorem hypothesis; carries a named reason."""
@@ -217,9 +230,9 @@ def trace(
 ) -> TraceRecord:
     """The generalized trace t_D^{(p)}(d), certified as an exact integer.
 
-    A call with ctx0 or a method other than "gkz" is an oracle request: it
-    is computed alone, from fresh classes and CM values, and reads and writes
-    no memo and no cache.  Any other call is resolved in one order: the
+    D and the charge d degree_cost(D) are bounded before any work.  A call
+    with ctx0 or a method other than "gkz" is an oracle request, run with
+    memo=False and no cache.  Every call is resolved in one order: the
     per-level memo, then `cache`, then `_class_sum`, whose record the memo
     keeps.  A memo hit and a computed record reach the one `cache.put`; a
     cache hit gets its class count and is not written back.  memo=False reads
@@ -232,11 +245,14 @@ def trace(
         raise ValueError("Faber degree D must be >= 1")
     if D > MAX_DEGREE:
         raise ValueError(f"Faber degree D={D} is above the supported bound {MAX_DEGREE}")
+    if d * degree_cost(D) > MAX_COST:
+        raise ValueError(f"d={d} is above the supported bound {MAX_COST // degree_cost(D)} "
+                         f"at Faber degree D={D}: d degree_cost(D) must stay within {MAX_COST}")
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
     st = _state(level)
     if ctx0 is not None or method != "gkz":
-        return _class_sum(st, D, d, enumerate_classes(level, d, method), {}, ctx0, method)
+        memo, cache = False, None
     # without the memo, classes, CM values and the record live in fresh dicts
     classes, values, records = (
         (st.classes_cache, st.value_cache, st.trace_cache) if memo else ({}, {}, {})
@@ -250,8 +266,8 @@ def trace(
     if rec is None:
         with st.lock:
             if d not in classes:
-                classes[d] = enumerate_classes(level, d)
-        rec = _class_sum(st, D, d, classes[d], values)
+                classes[d] = enumerate_classes(level, d, method)
+        rec = _class_sum(st, D, d, classes[d], values, ctx0, method)
         with st.lock:
             records[(D, d)] = rec
     if cache is not None:
@@ -384,12 +400,13 @@ def _b_or_zero(level: PrimeLevel, D, d) -> int:
     return b_coeff(level, D, d)
 
 
-def check_reach(ell: int, n: int, d: int, D: int = 1):
+def check_reach(ell: int, n: int, d: int, D: int = 1) -> int:
     """Raise ValueError unless the discriminant ell^(2n) d stays within
     qforms.MAX_DISC and the Faber degree ell^n sqrt(D) within MAX_DEGREE: the
     largest a verifier reaches.  The discriminant grows a factor of ell^2 at a
     time, so a large n stops within 8 steps (ell >= 3, d >= 1) and never builds
-    ell^(2n); past that check ell^n is below sqrt(MAX_DISC)."""
+    ell^(2n); past that check ell^n is below sqrt(MAX_DISC).  Return the check's
+    charge ell^(2n) d degree_cost(sqrt(D)), at least that of each of its traces."""
     disc = d
     for _ in range(n):
         disc *= ell * ell
@@ -399,6 +416,14 @@ def check_reach(ell: int, n: int, d: int, D: int = 1):
     if ell**n * math.isqrt(D) > MAX_DEGREE:
         raise ValueError(f"ell={ell}, n={n}, D={D}: the Faber degree ell^n sqrt(D) "
                          f"is above the supported bound {MAX_DEGREE}")
+    return disc * degree_cost(math.isqrt(D))
+
+
+def _check_charge(ell: int, n: int, d: int, D: int = 1):
+    """check_reach, refusing a check charged above MAX_COST."""
+    if (charge := check_reach(ell, n, d, D)) > MAX_COST:
+        raise ValueError(f"ell={ell}, n={n}, d={d}, D={D}: the charge ell^(2n) d degree_cost(sqrt(D)) "
+                         f"= {charge} is above the supported bound {MAX_COST}")
 
 
 def _div_exact(n: int, m: int) -> int | None:
@@ -429,7 +454,7 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     level = _as_level(p)
     check_ell(level, ell)
     if D_list and d_list:
-        check_reach(ell, 1, max(d_list), max(D_list))
+        _check_charge(ell, 1, max(d_list), max(D_list))
     ell2 = ell * ell
     checks = []
     for D in D_list:
@@ -478,7 +503,7 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
     check_square(D)
-    check_reach(ell, n, d, D)
+    _check_charge(ell, n, d, D)
     ell2 = ell * ell
     B = lambda DD, dd: _b_or_zero(level, DD, dd)
     kD = kronecker(D, ell)
@@ -528,7 +553,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
         raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
     if not splits(ell, d):
         raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
-    check_reach(ell, n, d)
+    _check_charge(ell, n, d)
     big = trace(level, 1, ell ** (2 * n) * d)
     cong_ok = big.value % ell**n == 0
     lift = -b_coeff(level, ell ** (2 * n), d)
@@ -555,17 +580,7 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 _METHODS = ("gkz", "brute")  # the enumeration methods of qforms.enumerate_classes
 _LEVELS = {p: PrimeLevel(p) for p in SUPPORTED_LEVELS}
 _INT_KEYS = ("p", "D", "d", "t", "bits", "terms")
-_raw_int_fields = operator.itemgetter(*_INT_KEYS)
-
-
-def _int_field(obj: dict, key: str) -> int:
-    """An integer field of a cache line: a JSON integer or a decimal-integer string."""
-    v = obj[key]
-    if type(v) is int:  # not isinstance: a bool is an int
-        return v
-    if type(v) is str and _DECIMAL.fullmatch(v):
-        return int(v)
-    raise ValueError(f"{key} is {v!r}, not an integer")
+_int_fields = operator.itemgetter(*_INT_KEYS)
 
 
 def _check_fields(p: int, D: int, d: int, bits: int, terms: int, method) -> None:
@@ -634,13 +649,13 @@ class TraceCache:
                     obj = json.loads(line)
                     if type(obj) is not dict:
                         raise ValueError("not a JSON object")
-                    p, D, d, t, bits, terms = _raw_int_fields(obj)
-                    # the shape put writes; anything else goes through _int_field
-                    if (type(p) is type(D) is type(d) is type(bits) is type(terms) is int
+                    p, D, d, t, bits, terms = _int_fields(obj)
+                    # the one shape put writes (type, not isinstance: a bool is an int)
+                    if not (type(p) is type(D) is type(d) is type(bits) is type(terms) is int
                             and type(t) is str and _DECIMAL.fullmatch(t)):
-                        t = int(t)
-                    else:
-                        p, D, d, t, bits, terms = (_int_field(obj, k) for k in _INT_KEYS)
+                        raise ValueError(f"{', '.join(_INT_KEYS)} = {_int_fields(obj)!r}: need "
+                                         "JSON integers and t a decimal string")
+                    t = int(t)
                     method = obj["method"]
                     _check_fields(p, D, d, bits, terms, method)
                 except (KeyError, ValueError) as exc:
@@ -722,14 +737,20 @@ class TraceCache:
 
         Each recomputation uses the record's own enumeration method and
         memo=False: no classes, CM values or records from the in-process memo.
+        A record past today's bounds, which trace() refuses, is listed under
+        "refused" with the reason and not counted as checked.
         """
-        bad = []
+        bad, refused = [], []
         with self._lock:
             items = list(self._mem.items())
         for (p, D, d), (value, _, _, method) in items:
-            fresh = trace(p, D, d, method=method, memo=False)
+            try:
+                fresh = trace(p, D, d, method=method, memo=False)
+            except ValueError as exc:
+                refused.append({"p": p, "D": D, "d": d, "reason": str(exc)})
+                continue
             if fresh.value != value:
                 bad.append({"p": p, "D": D, "d": d,
                             "cached": str(value), "fresh": str(fresh.value)})
-        return {"kind": "cache-verify", "checked": len(items), "mismatches": bad,
-                "ok": not bad}
+        return {"kind": "cache-verify", "checked": len(items) - len(refused),
+                "mismatches": bad, "refused": refused, "ok": not bad and not refused}

@@ -240,6 +240,12 @@ class TestVerify:
          qforms.MAX_DISC),
         # a Faber degree past traces.MAX_DEGREE: refused before any series is built
         ("trace --D 1000 --d 7", "Faber degree D=1000", traces.MAX_DEGREE),
+        # a charge past traces.MAX_COST: refused before any series or class is
+        # built (d degree_cost(D) for a trace, ell^(2n) d degree_cost(sqrt(D))
+        # for a check)
+        ("trace --D 256 --d 9999999", "d=9999999", traces.MAX_COST // traces.degree_cost(256)),
+        ("verify recurrence --ell 3 --D 7225 --d 1111111", "ell=3, n=1, d=1111111, D=7225",
+         traces.MAX_COST),
         ("verify recurrence --ell 3 --n 1 --D 1000000 --d 7", "ell=3, n=1, D=1000000",
          traces.MAX_DEGREE),
         ("verify coeff-identities --ell 3 --Dmax 7396 --dmax 40", "ell=3, n=1, D=7396",
@@ -378,7 +384,32 @@ class TestCacheCommand:
         assert json.loads(out)["records"] == 2
         code, out, _ = run(capsys, "cache", "verify", "--format", "json", "--cache", cache)
         assert code == 0
-        assert json.loads(out)["ok"]
+        report = json.loads(out)
+        assert report["ok"] and report["checked"] == 2 and report["refused"] == []
+
+    def test_verify_names_each_record_it_cannot_recompute(self, tmp_path, capsys):
+        # records past today's bounds load, but trace() refuses them: each is
+        # listed with its reason, and every other record is recomputed
+        cache = tmp_path / "c.jsonl"
+        cache.write_text("".join(
+            json.dumps({"p": 2, "D": D, "d": d, "t": t, "bits": 128, "terms": 64,
+                        "method": "gkz"}) + "\n"
+            for D, d, t in ((300, 4, "5"), (1, 4, "-26"), (256, 2444, "6"), (1, 7, "-23"))
+        ))
+        reset_state()
+        code, out, err = run(capsys, "cache", "verify", "--format", "json", "--cache", str(cache))
+        assert code == 1 and err == ""
+        assert json.loads(out) == {
+            "kind": "cache-verify", "checked": 2, "mismatches": [],
+            "refused": [
+                {"p": 2, "D": 300, "d": 4,
+                 "reason": f"Faber degree D=300 is above the supported bound {traces.MAX_DEGREE}"},
+                {"p": 2, "D": 256, "d": 2444,
+                 "reason": "d=2444 is above the supported bound 2441 at Faber degree D=256: "
+                           f"d degree_cost(D) must stay within {traces.MAX_COST}"},
+            ],
+            "ok": False,
+        }
 
     @pytest.mark.parametrize("action", ["stats", "verify"])
     def test_csv_format_exits_2(self, tmp_path, capsys, action):
@@ -434,13 +465,15 @@ class TestCacheCommand:
         "[1, 2]",
         # a float trace must not be served truncated
         '{"p": 2, "D": 1, "d": 4, "t": -26.9, "bits": 128, "terms": 64, "method": "gkz"}',
+        # an integer in a shape put never writes
+        '{"p": "2", "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": null}',
         '{"p": 11, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
         # values no put writes, which cache verify or trace would otherwise act on
         '{"p": 2, "D": 0, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": 1, "d": 2, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": -3, "terms": 0, "method": "gkz"}',
-    ], ids=["null", "list", "float-t", "method-null", "p-11", "D-0", "d-2", "bits-terms"])
+    ], ids=["null", "list", "float-t", "string-p", "method-null", "p-11", "D-0", "d-2", "bits-terms"])
     @pytest.mark.parametrize("argv", [("cache", "stats"), ("trace", "--p", "2", "--d", "4"),
                                       ("cache", "verify"),
                                       ("trace-table", "--p", "2", "--dmax", "8")])
@@ -521,7 +554,7 @@ class TestNoFractions:
 
 class TestGridBound:
     # the discriminants ell^(2n) d of a verify grid's checks, each times
-    # cli.degree_cost(sqrt(D)), sum to at most cli.MAX_GRID_DISC; _grid refuses
+    # traces.degree_cost(sqrt(D)), sum to at most traces.MAX_COST; _grid refuses
     # before any trace is computed
 
     @pytest.mark.parametrize("kind, flags, dmax, first", [
@@ -534,7 +567,7 @@ class TestGridBound:
         assert code == 2 and out == "" and err.count("\n") == 1
         msg = json.loads(err)["error"]
         assert msg.startswith(f"verify {kind} --p 2 --ell 3 --dmax {dmax}: ")
-        assert msg.endswith(f"supported bound {cli.MAX_GRID_DISC} at d={first}")
+        assert msg.endswith(f"supported bound {traces.MAX_COST} at d={first}")
 
     @pytest.mark.parametrize("kind, n, D, degrees, weight, keep, top", [
         # D = 1, 4, 9, 16 at each d
@@ -547,18 +580,18 @@ class TestGridBound:
     ])
     def test_largest_grid_is_accepted_and_one_more_d_is_not(self, kind, n, D, degrees, weight,
                                                               keep, top):
-        assert sum(map(cli.degree_cost, degrees)) == weight
+        assert sum(map(traces.degree_cost, degrees)) == weight
         keep = (lambda d: splits(3, d)) if keep else (lambda d: True)
         args = argparse.Namespace(kind=kind, p=2, ell=3, dmax=top)
         grid = cli._grid(args, PrimeLevel(2), n, D, degrees, keep)
-        assert grid[-1] == top and 9**n * weight * sum(grid) <= cli.MAX_GRID_DISC
+        assert grid[-1] == top and 9**n * weight * sum(grid) <= traces.MAX_COST
         nxt = next(d for d in range(top + 1, 2 * top) if is_admissible(d, PrimeLevel(2)) and keep(d))
         with pytest.raises(ValueError, match=f"at d={nxt}$"):
             cli._grid(argparse.Namespace(kind=kind, p=2, ell=3, dmax=nxt), PrimeLevel(2), n, D,
                       degrees, keep)
 
     def test_degree_cost_is_the_floor_of_m_to_the_three_halves(self):
-        assert [cli.degree_cost(m) for m in (1, 2, 3, 4, 5, 85, 256)] == [1, 2, 5, 8, 11, 783, 4096]
+        assert [traces.degree_cost(m) for m in (1, 2, 3, 4, 5, 85, 256)] == [1, 2, 5, 8, 11, 783, 4096]
 
 
 class TestArgumentContract:

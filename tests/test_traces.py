@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from moduli_traces import traces as traces_mod
-from moduli_traces.arith import PrimeLevel, divisors, is_admissible, kronecker
+from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, divisors, is_admissible, kronecker
 from moduli_traces.cm_eval import (
     MAX_RETRIES,
     PrecisionContext,
@@ -32,6 +32,7 @@ from moduli_traces.qforms import (
 )
 from moduli_traces.qseries import WindowError
 from moduli_traces.traces import (
+    MAX_COST,
     MAX_DEGREE,
     CacheIntegrityError,
     CoeffTable,
@@ -41,6 +42,7 @@ from moduli_traces.traces import (
     _state,
     a_coeff,
     b_coeff,
+    degree_cost,
     hecke_apply,
     plus_condition,
     reset_state,
@@ -132,6 +134,38 @@ class TestTrace:
             trace(P2, 1, 7, ctx0=PrecisionContext(640, 256), cache=cache)
             trace(P2, 1, 8, method="brute", cache=cache)
         assert not (tmp_path / "new.jsonl").exists()
+
+    @pytest.mark.parametrize("D, admitted, refused", [(256, 2440, 2444), (85, 12768, 12772)])
+    def test_charge_bound_edges(self, tmp_path, monkeypatch, D, admitted, refused):
+        # d degree_cost(D) <= MAX_COST, checked before the memo, the cache, the
+        # series or the enumeration; an admitted request reaches the enumeration
+        assert admitted * degree_cost(D) <= MAX_COST < refused * degree_cost(D)
+
+        class Reached(Exception):
+            pass
+
+        calls = []
+
+        def enumerate_classes(*args):
+            calls.append(args)
+            raise Reached
+
+        monkeypatch.setattr(traces_mod, "enumerate_classes", enumerate_classes)
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"p": 2, "D": D, "d": refused, "t": "5", "bits": 128,
+                                    "terms": 64, "method": "gkz"}) + "\n")
+        reset_state()
+        try:
+            with TraceCache(path) as cache:
+                with pytest.raises(ValueError, match=f"d={refused} is above the supported bound "
+                                                     f"{MAX_COST // degree_cost(D)} at Faber degree D={D}"):
+                    trace(P2, D, refused, cache=cache)
+            assert _state(P2).haupt is None and calls == []
+            with pytest.raises(Reached):
+                trace(P2, D, admitted)
+            assert calls == [(P2, admitted, "gkz")]
+        finally:
+            reset_state()
 
     def test_memoized_oracle_request_evaluates_its_own_values(self, monkeypatch):
         reset_state()
@@ -630,6 +664,17 @@ class TestVerifyRecurrence:
         with pytest.raises(ValueError):
             verify_recurrence(P2, 3, 1, 8, 0)
 
+    def test_a_check_charged_past_the_bound_computes_no_trace(self, monkeypatch):
+        # 9 * 1111111 is within MAX_DISC, but its traces have Faber degree 85:
+        # charged 783 times a degree-1 trace there
+        monkeypatch.setattr(traces_mod, "trace", lambda *args, **kw: pytest.fail("trace called"))
+        msg = (f"ell=3, n=1, d=1111111, D=7225: the charge .* = 7829999217 is above the "
+               f"supported bound {MAX_COST}")
+        with pytest.raises(ValueError, match=msg):
+            verify_recurrence(P2, 3, 7225, 1111111, 1)
+        with pytest.raises(ValueError, match=msg):
+            verify_coeff_identities(P2, 3, [1, 7225], [4, 1111111])
+
     def test_reach_past_the_bounds(self):
         # refused before ell^(2n) is built and before any trace: 3^(2 10^8) has
         # about 10^8 digits
@@ -775,6 +820,10 @@ class TestTraceCache:
         '{"p": 2, "D": 1, "d": 4, "t": "-26.9", "bits": 128, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128.0, "terms": 64, "method": "gkz"}',
         '{"p": 2, "D": true, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        # integers in a shape put never writes
+        '{"p": "2", "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": "64", "method": "gkz"}',
+        '{"p": 2, "D": 1, "d": 4, "t": -26, "bits": 128, "terms": 64, "method": "gkz"}',
         # well-typed, but no enumeration method or no supported level
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": null}',
         '{"p": 2, "D": 1, "d": 4, "t": "-26", "bits": 128, "terms": 64, "method": ["gkz"]}',
@@ -807,12 +856,32 @@ class TestTraceCache:
         cache = TraceCache(path)
         assert cache.get(2, 300, 4).value == 5 and cache.get(2, 1, big_d).value == 6
 
-    def test_integer_fields_may_be_decimal_strings(self, tmp_path):
+    def test_a_line_of_another_shape_names_its_fields(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"p": "2", "D": 1, "d": "4", "t": "-26", "bits": 128, '
-                        '"terms": "64", "method": "gkz"}\n')
-        rec = TraceCache(path).get(2, 1, 4)
-        assert (rec.value, rec.bits, rec.terms) == (-26, 128, 64)
+        path.write_text('{"p": "2", "D": 1, "d": 4, "t": -26, "bits": 128, "terms": 64, '
+                        '"method": "gkz"}\n')
+        with pytest.raises(CacheIntegrityError, match=re.escape(
+                "c.jsonl:1: corrupt cache line (p, D, d, t, bits, terms = ('2', 1, 4, -26, 128, "
+                "64): need JSON integers and t a decimal string)")):
+            TraceCache(path)
+
+    def test_every_line_put_writes_loads_back_equal(self, tmp_path):
+        # JSON integers for p, D, d, bits and terms and t as a decimal string:
+        # the one shape the loader reads
+        recs = [trace(level, 1, d) for level in map(PrimeLevel, SUPPORTED_LEVELS)
+                for d in range(1, 101) if is_admissible(d, level)]
+        path = tmp_path / "c.jsonl"
+        with TraceCache(path) as cache:
+            for rec in recs:
+                cache.put(rec)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(recs)
+        assert {(k, type(v)) for line in lines for k, v in line.items()} == {
+            ("p", int), ("D", int), ("d", int), ("t", str), ("bits", int), ("terms", int),
+            ("method", str)}
+        loaded = TraceCache(path)
+        assert [loaded.get(r.p, r.D, r.d) for r in recs] == [
+            r._replace(class_count=None, residual=None, cached=True) for r in recs]
 
     def test_torn_last_line_is_skipped_then_removed(self, tmp_path):
         # a writer killed mid-line leaves an unterminated last line
