@@ -21,10 +21,10 @@ from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
 from .qforms import enumerate_classes
 from .traces import (
-    MAX_COST,
     CacheIntegrityError,
     TraceCache,
     check_ell,
+    check_grid,
     check_reach,
     check_square,
     trace,
@@ -154,24 +154,20 @@ def cmd_trace_table(args) -> int:
 def _grid(args, level: PrimeLevel, n: int, D: int, degrees, keep=lambda d: True) -> list[int]:
     """The admissible d <= --dmax that keep accepts, ascending.  check_reach
     first checks the largest of them at (n, D), found by a downward scan from
-    --dmax, so a grid past a bound is refused before it is built.  Then the
-    charges check_reach gives the grid's checks must sum to at most
-    traces.MAX_COST; `degrees` holds sqrt(D) for each check at one d, and is
-    read only after check_reach has bounded D."""
+    --dmax, so a grid past a bound is refused before it is built.  Then
+    traces.check_grid refuses the grid if its checks, one per d and sqrt(D) in
+    `degrees`, are charged past traces.MAX_COST; `degrees` is read only after
+    check_reach has bounded D."""
     top = next((d for d in range(args.dmax, 0, -1) if is_admissible(d, level) and keep(d)), None)
     if top is None:
         return []
     check_reach(args.ell, n, top, D)
-    total, grid = 0, []
-    for d in range(1, top + 1):
-        if is_admissible(d, level) and keep(d):
-            total += sum(check_reach(args.ell, n, d, m * m) for m in degrees)
-            if total > MAX_COST:
-                raise ValueError(f"verify {args.kind} --p {args.p} --ell {args.ell} --dmax {args.dmax}: "
-                                 f"the discriminants ell^(2n) d of its checks (n={n}), times "
-                                 f"the cost of Faber degree sqrt(D), sum past the supported "
-                                 f"bound {MAX_COST} at d={d}")
-            grid.append(d)
+    grid = [d for d in range(1, top + 1) if is_admissible(d, level) and keep(d)]
+    try:
+        check_grid(args.ell, n, grid, [m * m for m in degrees])
+    except ValueError as exc:
+        raise ValueError(f"verify {args.kind} --p {args.p} --ell {args.ell} --dmax {args.dmax}: "
+                         f"{exc}") from None
     return grid
 
 

@@ -5,10 +5,10 @@ The evaluation kernel works on W-bit fixed-point complex numbers: a pair
 W = bits + FIXED_GUARD_BITS for a precision plan of `bits` bits.  Python ints
 carry every value, q and q^-1 (`cm_point_q`) included: pi, ln 2, exp and
 cos/sin are integer series here, and no multiprecision library is imported.
-e^t is shared per (d, a, prec) and cos/sin(pi b/a) per angle b/a mod 2 at
-prec rounded up to 64 bits, each a function of its key alone.  A class sum
-leaves as the exact integer pair (S, 12 * 2^W), which `round_to_integer`
-rounds with no further error.
+e^t is shared per (d/a^2 in lowest terms, prec) and cos/sin(pi b/a) per
+angle b/a mod 2 at prec rounded up to 64 bits, each a function of its key
+alone.  A class sum leaves as the exact integer pair (S, 12 * 2^W), which
+`round_to_integer` rounds with no further error.
 
 `eta_hauptmodul` evaluates j_p* from its eta product: with
 E(x) = prod (1 - x^n) summed by the pentagonal number theorem,
@@ -21,12 +21,14 @@ Error model for q and q^-1, in units of the last bit kept:
   B + 32 bits, B = P rounded up to a power of two, losing under 2 units of
   2^-(B+32) per term, and truncated to P bits: each is off by less than
   1 + 2^-14 units of 2^-P;
-- e^t = 2^k e^r with t = k ln 2 + r: t = pi isqrt(d 4^P) / a and r are off by
-  less than sqrt(d) + k + 6 units of 2^-P, at P = prec + s + 32 and
-  s = isqrt(prec) // 2.  e^r is the Taylor series at r 2^-s, N terms of
-  under 2 units each, squared s times, each squaring doubling the relative
-  error.  So e^t and e^-t at prec bits are off by a relative 2^-(prec+16)
-  plus 2 units, while sqrt(d) + k + 2N < 2^15;
+- e^t = 2^k e^r with t = k ln 2 + r and N/M = d/a^2 in lowest terms:
+  t = pi isqrt(floor(N 4^P / M)) and r are off by less than
+  sqrt(N/M) + k + 6 units of 2^-P (the isqrt and pi are each off by less
+  than 1.01 units), at P = prec + s + 32 and s = isqrt(prec) // 2.  e^r is
+  the Taylor series at r 2^-s, n terms of under 2 units each, squared s
+  times, each squaring doubling the relative error.  So e^t and e^-t at prec
+  bits are off by a relative 2^-(prec+16) plus 2 units, while
+  sqrt(N/M) + k + 2n < 2^15;
 - cos/sin(pi b/a): b/a = m/2 + f exactly, |f| <= 1/4, and e^{i pi |f|} goes
   the same way, by complex squarings (|e^{iy}| = 1 keeps the doubling), so
   cos and sin at prec' are off by less than 1 + 2^-16 units of 2^-prec';
@@ -56,11 +58,17 @@ over the fixture range is 0.658, at p=13, d=3, form (13, 7, 1)):
 _GUARD_BITS, so the error stays near 2^-(_GUARD_BITS + FIXED_GUARD_BITS)
 times e D.
 
-A form and its mirror (a, -b, c) share one evaluation.  The CM point of the
-mirror is -conj(alpha), where q is conjugate, and j_p*(-conj(alpha)) is the
-conjugate of j_p*(alpha) because j_p* has integer coefficients.  A class sum
-keeps only Re P_D(j), so `traces._class_sum` evaluates (a, |b|, c) for both;
-the kernel's two values agree in Re to within the error above.
+A form, its mirror (a, -b, c) and their multiples k (a, b, c) share one
+evaluation.  The CM point of the mirror is -conj(alpha), where q is
+conjugate, and j_p*(-conj(alpha)) is the conjugate of j_p*(alpha) because
+j_p* has integer coefficients.  A class sum keeps only Re P_D(j), so
+`traces._class_sum` evaluates (a, |b|, c) for both; the kernel's two values
+agree in Re to within the error above.  A multiple k F of discriminant
+-k^2 d has the CM point of F, and `cm_point_q` keys e^t by d/a^2 and
+cos/sin by b/a, each in lowest terms, so it gives F and k F the same q to
+the bit; `traces._class_sum` evaluates every form at its primitive part
+(a, |b|, c)/gcd(a, b, c), so the traces at d and at f^2 d share the values
+of their common CM points.
 
 Correctness rests on an a-posteriori certificate: a sum counts once it lies
 within TOL of an integer; one that does not is recomputed with doubled bits
@@ -182,16 +190,18 @@ def _exp_series(x: int, P: int, s: int, trig: bool) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _exp_t(d: int, a: int, prec: int) -> tuple[int, int]:
-    """(e^t, e^-t) for t = pi sqrt(d)/a, as ints at prec fraction bits; shared by all b.
+def _exp_t(N: int, M: int, prec: int) -> tuple[int, int]:
+    """(e^t, e^-t) for t = pi sqrt(N/M), as ints at prec fraction bits.
 
-    t = k ln 2 + r with 0 <= r < ln 2; e^r is summed at r 2^-s and squared s
-    times, at P = prec + s + 32 bits, and e^t = 2^k e^r.
+    `cm_point_q` passes N/M = d/a^2 in lowest terms, so every form whose CM
+    point has height sqrt(d)/(2a), whatever its b and its content, shares one
+    entry.  t = k ln 2 + r with 0 <= r < ln 2; e^r is summed at r 2^-s and
+    squared s times, at P = prec + s + 32 bits, and e^t = 2^k e^r.
     """
     s = math.isqrt(prec) // 2
     P = prec + s + 32
     pi, ln2 = _pi_ln2(P)
-    k, r = divmod(pi * math.isqrt(d << 2 * P) // (a << P), ln2)
+    k, r = divmod(pi * math.isqrt((N << 2 * P) // M) >> P, ln2)
     e = sum(_exp_series(r, P, s, False))  # cosh r + sinh r
     for _ in range(s):
         e = e * e >> P
@@ -224,14 +234,18 @@ def cm_point_q(F: tuple[int, int, int], bits: int) -> tuple[Fixed, Fixed]:
     e^-t (cos u - i sin u) and q^-1 = e^t (cos u + i sin u).  q^-1 is formed
     from e^t itself, not as conj(q)/|q|^2, which underflows to 0 at large
     heights.  Both are truncated once to 2^-W; e^t is evaluated with its
-    t/ln 2 integer bits on top of W, once per (d, a, prec); cos/sin u is
-    evaluated once per angle b/a mod 2, at prec rounded up to 64 bits.
+    t/ln 2 integer bits on top of W, once per (d/a^2 in lowest terms, prec);
+    cos/sin u is evaluated once per angle b/a mod 2, at prec rounded up to 64
+    bits.  Each key is a function of the CM point alone, so F and k F give the
+    same (q, q^-1).
     """
     W = fixed_width(bits)
     a, b, c = F
     d = 4 * a * c - b * b
-    prec = W + math.ceil(math.pi * math.sqrt(d) / (a * math.log(2))) + 16
-    grow, decay = _exp_t(d, a, prec)
+    h = math.gcd(d, a * a)
+    N, M = d // h, a * a // h  # t = pi sqrt(N/M)
+    prec = W + math.ceil(math.pi * math.sqrt(N / M) / math.log(2)) + 16
+    grow, decay = _exp_t(N, M, prec)
     g = math.gcd(b, a)
     cprec = -(-prec // 64) * 64
     cos_u, sin_u = _cos_sin_pi(b // g % (2 * a // g), a // g, cprec)

@@ -15,6 +15,7 @@ then validates the realization against the Hecke action on coefficient tables.
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import math
 import operator
@@ -118,6 +119,7 @@ class _LevelState:
         self.haupt: Hauptmodul | None = None
         self.polys: list[list[int]] = []
         self.classes_cache: dict[int, list[HeegnerClass]] = {}
+        self.weights_cache: dict[int, dict[tuple[int, int, int], int]] = {}
         self.value_cache: dict[tuple, Fixed] = {}
         self.trace_cache: dict[tuple[int, int], TraceRecord] = {}
         self.lock = threading.RLock()
@@ -156,25 +158,21 @@ def reset_state():
 # traces and duality coefficients
 
 
-def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], values: dict,
-               ctx0: PrecisionContext | None = None, method: str = "gkz") -> TraceRecord:
-    """Sum P_D(j_p*) over the classes of discriminant -d and certify the integer.
+def _weights(level: PrimeLevel, d: int, classes: list[HeegnerClass]) -> dict[tuple[int, int, int], int]:
+    """The weight of each CM point the traces at d sum, keyed by its primitive form.
 
     Classes are summed in conjugate beta-pairs (real parts, doubled off the
     symmetric roots), weighted 1/omega, and halved by the index-2 mass factor
-    converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The sum is one
-    fixed-point integer with the weights mult/(2 omega) scaled by 12, which
-    makes them the integers 6 mult/omega for omega in {1, 2, 3}, summed per
-    distinct form (a, |b|, c): Fricke pairs share an evaluation form, and a form
-    and its mirror (a, -b, c) share one evaluation, because only Re P_D(j) is
-    summed and j_p*(-conj(alpha)) is the conjugate of j_p*(alpha).  values is
-    value_cache or a dict private to one call.  Into value_cache each form is
-    evaluated once per width bucket Wb, W rounded up to a multiple of 64, and
-    every plan whose W falls in the bucket reads it shifted down to W, whatever
-    its Faber degree; a private dict is dropped on return, so its forms are
-    evaluated at W itself.
+    converting Gamma_0(p)-classes to Gamma_0(p)*-classes.  The weights
+    mult/(2 omega), scaled by 12, are the integers 6 mult/omega for omega in
+    {1, 2, 3}, summed per distinct form (a, |b|, c): Fricke pairs share an
+    evaluation form, and a form and its mirror (a, -b, c) share one evaluation,
+    because only Re P_D(j) is summed and j_p*(-conj(alpha)) is the conjugate of
+    j_p*(alpha).  Each form is then keyed by (a, |b|, c)/gcd(a, b, c), which has
+    its CM point; two forms of one d with one primitive part are equal, so this
+    merges nothing, and the gcd is taken once per distinct form.
     """
-    p = st.level.p
+    p = level.p
     weights: dict[tuple[int, int, int], int] = {}  # keyed by (a, |b|, c)
     for cl in classes:
         if cl.beta > p:
@@ -188,6 +186,29 @@ def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass], val
         a, b, c = cl.eval_form
         key = (a, abs(b), c)
         weights[key] = weights.get(key, 0) + 6 * mult // cl.omega
+    primitive = {}
+    for (a, b, c), w in weights.items():
+        g = math.gcd(a, b, c)
+        primitive[(a // g, b // g, c // g)] = w
+    return primitive
+
+
+def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass],
+               weights: dict[tuple[int, int, int], int], values: dict,
+               ctx0: PrecisionContext | None = None, method: str = "gkz") -> TraceRecord:
+    """Sum P_D(j_p*) over the CM points of discriminant -d and certify the integer.
+
+    The sum is one fixed-point integer over `weights`, from `_weights`, each
+    CM point evaluated at its primitive form.  values is value_cache or a dict
+    private to one call.  value_cache keys a value by (primitive form, Wb), so
+    it is a function of its key alone and the traces at d and at f^2 d share
+    the values of their common CM points.  Into value_cache each point is
+    evaluated once per width bucket Wb, W rounded up to a multiple of 64, and
+    every plan whose W falls in the bucket reads it shifted down to W, whatever
+    its d and Faber degree; a private dict is dropped on return, so its points
+    are evaluated at W itself.
+    """
+    p = st.level.p
     ctx = plan_precision(st.level, d, classes, ctx0, degree=D)
 
     poly = st.faber_poly(D)
@@ -235,10 +256,12 @@ def trace(
     memo=False and no cache.  Every call is resolved in one order: the
     per-level memo, then `cache`, then `_class_sum`, whose record the memo
     keeps.  A memo hit and a computed record reach the one `cache.put`; a
-    cache hit gets its class count and is not written back.  memo=False reads
-    and keeps no memoized classes, CM values or record.  Only the exact series
-    and Faber polynomials, which `_LevelState.faber_poly` alone sizes, are
-    shared by every call.
+    cache hit gets its class count and is not written back.  The memo keeps
+    per d the classes and the weight of each CM point (`_weights`), so the
+    traces of every Faber degree at one d enumerate and weigh once.
+    memo=False reads and keeps no memoized classes, weights, CM values or
+    record.  Only the exact series and Faber polynomials, which
+    `_LevelState.faber_poly` alone sizes, are shared by every call.
     """
     level = _as_level(p)
     if D < 1:
@@ -253,9 +276,10 @@ def trace(
     st = _state(level)
     if ctx0 is not None or method != "gkz":
         memo, cache = False, None
-    # without the memo, classes, CM values and the record live in fresh dicts
-    classes, values, records = (
-        (st.classes_cache, st.value_cache, st.trace_cache) if memo else ({}, {}, {})
+    # without the memo, classes, weights, CM values and the record live in fresh dicts
+    classes, weights, values, records = (
+        (st.classes_cache, st.weights_cache, st.value_cache, st.trace_cache) if memo
+        else ({}, {}, {}, {})
     )
     with st.lock:
         rec = records.get((D, d))
@@ -267,7 +291,9 @@ def trace(
         with st.lock:
             if d not in classes:
                 classes[d] = enumerate_classes(level, d, method)
-        rec = _class_sum(st, D, d, classes[d], values, ctx0, method)
+            if d not in weights:
+                weights[d] = _weights(level, d, classes[d])
+        rec = _class_sum(st, D, d, classes[d], weights[d], values, ctx0, method)
         with st.lock:
             records[(D, d)] = rec
     if cache is not None:
@@ -393,11 +419,10 @@ def check_square(D: int) -> int:
     return m
 
 
-def _b_or_zero(level: PrimeLevel, D, d) -> int:
-    """B(D, d) extended by convention to 0 at non-integer indices."""
-    if D is None or d is None:
-        return 0
-    return b_coeff(level, D, d)
+def _b_memo(level: PrimeLevel):
+    """B(D, d), extended by convention to 0 at non-integer indices, computed
+    once per (D, d) for the verifier call that holds it."""
+    return functools.cache(lambda D, d: 0 if D is None or d is None else b_coeff(level, D, d))
 
 
 def check_reach(ell: int, n: int, d: int, D: int = 1) -> int:
@@ -426,6 +451,26 @@ def _check_charge(ell: int, n: int, d: int, D: int = 1):
                          f"= {charge} is above the supported bound {MAX_COST}")
 
 
+def check_grid(ell: int, n: int, ds: list[int], Ds: list[int]) -> int:
+    """Return the charge of a verify grid, one check at (n, D, d) for each D in
+    Ds and d in ds; raise ValueError if it is above MAX_COST.  A check's charge
+    check_reach(ell, n, d, D) is d times its charge at d = 1, so the grid's is
+    summed over ds, in their order, and the message names the first d at which
+    the sum passes the bound.  The caller checks the reach of the largest
+    check first: this checks it only at d = 1."""
+    unit = sum(check_reach(ell, n, 1, D) for D in Ds)
+    total, first = 0, None
+    for d in ds:
+        total += unit * d
+        if first is None and total > MAX_COST:
+            first = d
+    if first is not None:
+        raise ValueError(f"the discriminants ell^(2n) d of the grid's checks (ell={ell}, n={n}), "
+                         f"times the cost of Faber degree sqrt(D), sum to {total}, past the "
+                         f"supported bound {MAX_COST} at d={first}")
+    return total
+
+
 def _div_exact(n: int, m: int) -> int | None:
     return n // m if n % m == 0 else None
 
@@ -450,18 +495,21 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     ell B(ell^2 D, d) + (D/ell) B(D, d) + B(D/ell^2, d).  Their equality
     certifies the duality A_ell = -B_ell with A := -B.  A failure means
     "identification or implementation failure" and is reported, not raised.
+    The largest check and then the whole grid are charged (`check_grid`)
+    before any trace, and each B(D, d) is computed once per call.
     """
     level = _as_level(p)
     check_ell(level, ell)
     if D_list and d_list:
         _check_charge(ell, 1, max(d_list), max(D_list))
+        check_grid(ell, 1, d_list, D_list)
     ell2 = ell * ell
+    B = _b_memo(level)
     checks = []
     for D in D_list:
         for d in d_list:
             if not is_admissible(d, level):
                 raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
-            B = lambda DD, dd: _b_or_zero(level, DD, dd)
             # route (i): Hecke action on the coefficient table, read at q^d
             idx = {d, ell2 * d}
             down = _div_exact(d, ell2)
@@ -494,7 +542,8 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
 
     For n = 1 the formula specializes exactly to the single-step identity
     (asserted by comparing both expression forms); for n = 2 it is also
-    cross-checked against two iterated single-step applications.
+    cross-checked against two iterated single-step applications.  Each
+    B(D, d) the two sides share is computed once.
     """
     level = _as_level(p)
     check_ell(level, ell)
@@ -505,7 +554,7 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     check_square(D)
     _check_charge(ell, n, d, D)
     ell2 = ell * ell
-    B = lambda DD, dd: _b_or_zero(level, DD, dd)
+    B = _b_memo(level)
     kD = kronecker(D, ell)
     kd = kronecker(-d, ell)
 

@@ -349,7 +349,8 @@ class TestTraceTable:
         rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
         assert calls == rows and reps == rows
         st = traces._state(PrimeLevel(2))
-        assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
+        assert st.classes_cache == {} and st.weights_cache == {}
+        assert st.value_cache == {} and st.trace_cache == {}
 
         warm.write_bytes(cold.read_bytes())
         warm.chmod(0o444)  # as in the benchmark; a superuser can still write, so compare bytes
@@ -359,7 +360,8 @@ class TestTraceTable:
                                 "--cache", str(warm))
         assert code == 0 and out_warm == out_cold and calls == [] and reps == rows
         assert warm.read_bytes() == cold.read_bytes()
-        assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
+        assert st.classes_cache == {} and st.weights_cache == {}
+        assert st.value_cache == {} and st.trace_cache == {}
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["default", "csv"])
     def test_empty_table_prints_the_header(self, tmp_path, capsys, fmt):

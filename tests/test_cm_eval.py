@@ -132,6 +132,18 @@ class TestEvalAtCM:
         for G in ((6, 17, 16), (6, -7, 6)):
             assert G[1] ** 2 - 4 * G[0] * G[2] == -95 and cm_point_q(G, bits) == ref
 
+    def test_forms_of_one_height_share_e_t(self):
+        # (4, 0, 1) and (4, 4, 2) are forms of d = 16 with sqrt(d)/a = 1, the
+        # second of content 2; e^t is keyed by d/a^2 in lowest terms, here 1/1,
+        # so they share one entry, and with it the primitive part (2, 2, 1) of
+        # (4, 4, 2), at d = 4, which has its CM point and its q to the bit
+        cm_eval._exp_t.cache_clear()
+        cm_point_q((4, 0, 1), 192)
+        q = cm_point_q((4, 4, 2), 192)
+        assert cm_eval._exp_t.cache_info().currsize == 1
+        assert cm_point_q((2, 2, 1), 192) == q
+        assert cm_eval._exp_t.cache_info()[:4] == (2, 1, 64, 1)  # hits, misses, maxsize, size
+
     def test_hauptmodul_singular_value(self):
         # j_2* at alpha = (-1+i)/2 is the algebraic integer -104 (the d=4
         # class is symmetric, so a single evaluation is already real)
@@ -195,7 +207,7 @@ def exp_prec(d, a, bits):
 def assert_exp_t_within_bound(d, a, prec):
     # the module docstring's bound: a relative 2^-(prec+16) plus 2 units for
     # e^t, and 2 units for e^-t, whose relative part is below one unit
-    grow, decay = cm_eval._exp_t(d, a, prec)
+    grow, decay = cm_eval._exp_t(d, a * a, prec)  # t = pi sqrt(d/a^2)
     ref_grow, ref_decay = (nearest(x, prec) for x in oracles.libmp_exp_t(d, a, prec + 64))
     assert abs(grow - ref_grow) <= 2 + (ref_grow >> (prec + 16)), (d, a, prec)
     assert abs(decay - ref_decay) <= 2, (d, a, prec)

@@ -1,7 +1,9 @@
 """Unit tests for traces, duality coefficients, the Hecke operator, verifiers,
 and the persistent cache."""
 
+import collections
 import json
+import math
 import os
 import random
 import re
@@ -98,7 +100,8 @@ class TestTrace:
         try:
             assert trace(P2, 1, 23, **kwargs).value == -94
             st = _state(P2)
-            assert st.classes_cache == {} and st.value_cache == {} and st.trace_cache == {}
+            assert st.classes_cache == {} and st.weights_cache == {}
+            assert st.value_cache == {} and st.trace_cache == {}
         finally:
             reset_state()
 
@@ -172,7 +175,8 @@ class TestTrace:
         try:
             trace(P2, 1, 108)
             st = _state(P2)
-            memo = (dict(st.classes_cache), dict(st.value_cache), dict(st.trace_cache))
+            memo = (dict(st.classes_cache), dict(st.weights_cache), dict(st.value_cache),
+                    dict(st.trace_cache))
             calls = []
             real = traces_mod.eta_hauptmodul
             monkeypatch.setattr(traces_mod, "eta_hauptmodul",
@@ -180,7 +184,7 @@ class TestTrace:
             rec = trace(P2, 1, 108, method="brute")
             assert (rec.method, rec.value) == ("brute", -12288992)
             assert len(calls) == 3  # one per distinct (a, |b|, c) of the evaluation forms
-            assert (st.classes_cache, st.value_cache, st.trace_cache) == memo
+            assert (st.classes_cache, st.weights_cache, st.value_cache, st.trace_cache) == memo
         finally:
             reset_state()
 
@@ -228,6 +232,48 @@ class TestTrace:
             calls.clear()
             assert trace(level, 15, 79).value == oracles.trace_value(13, 15, 79)
             assert calls == []
+        finally:
+            reset_state()
+
+    def test_identities_p13_grid_evaluates_each_cm_point_once(self, monkeypatch):
+        # verify coeff-identities --p 13 --ell 3 --Dmax 25 --dmax 126: the memo
+        # keys a CM value by its primitive form, so the traces at d and 9d share
+        # their common points, and the verifier computes each B(D, d) once.
+        # Keyed by (a, |b|, c) it took 347 evaluations, and 1022 B were asked for
+        level = PrimeLevel(13)
+        ds = [d for d in range(1, 127) if is_admissible(d, level)]
+        calls = collections.Counter()
+        for name in ("cm_point_q", "b_coeff"):
+            real = getattr(traces_mod, name)
+            monkeypatch.setattr(traces_mod, name, lambda *args, _name=name, _real=real:
+                                calls.update([_name]) or _real(*args))
+        reset_state()
+        try:
+            assert verify_coeff_identities(level, 3, [1, 4, 9, 16, 25], ds)["ok"]
+            assert calls == {"cm_point_q": 236, "b_coeff": 433}
+            keys = _state(level).value_cache
+            assert len(keys) == 236 and all(math.gcd(*form) == 1 for form, _ in keys)
+        finally:
+            reset_state()
+
+    def test_imprimitive_class_reads_the_value_of_its_primitive_point(self, monkeypatch):
+        # at p=2 every class of d = 92 = 4 * 23 evaluates at a form of content
+        # 2; two of their primitive parts are CM points of t(23), so after t(23)
+        # the memoized t(92) evaluates only its other points, and its value is
+        # the memo=False one
+        forms = {d: set(traces_mod._weights(P2, d, enumerate_classes(P2, d))) for d in (23, 92)}
+        assert len(forms[92] & forms[23]) == 2
+        calls = []
+        real = traces_mod.eta_hauptmodul
+        monkeypatch.setattr(traces_mod, "eta_hauptmodul",
+                            lambda *args: calls.append(args) or real(*args))
+        reset_state()
+        try:
+            trace(P2, 1, 23)
+            calls.clear()
+            memoized = trace(P2, 1, 92).value
+            assert len(calls) == len(forms[92]) - 2
+            assert memoized == trace(P2, 1, 92, memo=False).value
         finally:
             reset_state()
 
@@ -628,6 +674,18 @@ class TestVerifyCoeffIdentities:
         c = rep["checks"][0]
         for key in ("hecke", "closed", "b_ell2d", "step_rhs"):
             int(c[key])  # decimal strings
+
+    def test_a_grid_charged_past_the_bound_computes_no_trace(self, monkeypatch):
+        # each check is within the bound, the largest charged 9 * 999 * 8, but
+        # the grid of D = 1, 4, 9, 16 and every admissible d <= 1000 is charged
+        # 9 * (1 + 2 + 5 + 8) * 188375, the sum of its d being 188375
+        monkeypatch.setattr(traces_mod, "trace", lambda *args, **kw: pytest.fail("trace called"))
+        ds = [d for d in range(1, 1001) if is_admissible(d, P2)]
+        assert sum(ds) == 188375
+        with pytest.raises(ValueError, match=f"sum to 27126000, past the supported bound "
+                                             f"{MAX_COST} at d=608$"):
+            verify_coeff_identities(P2, 3, [1, 4, 9, 16], ds)
+        assert traces_mod.check_grid(3, 1, ds[:ds.index(608)], [1, 4, 9, 16]) <= MAX_COST
 
     def test_input_gates(self):
         with pytest.raises(HypothesisViolation) as exc:
