@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -136,8 +137,7 @@ def cmd_trace_table(args) -> int:
         for d in range(1, args.dmax + 1):
             if not is_admissible(d, level):
                 continue
-            # each d is visited once, so a memo would only hold memory
-            rec = trace(level, 1, d, cache=cache, memo=False)
+            rec = trace(level, 1, d, cache=cache)
             rows.append(
                 {
                     "d": d,
@@ -199,6 +199,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    if args.action == "verify" and not os.path.exists(args.cache):
+        # a mistyped path must not pass the audit with nothing checked
+        return _fail(f"cache verify: no cache file at {args.cache}", EXIT_IO)
     cache = TraceCache(args.cache)
     if args.action == "stats":
         _emit(cache.stats(), args.format)

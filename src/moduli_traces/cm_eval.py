@@ -48,8 +48,8 @@ over the fixture range is 0.658, at p=13, d=3, form (13, 7, 1)):
 - the factor q^-1 scales the absolute error of r^e by
   |q^-1| = e^{pi sqrt(d)/a}, so j_p* is off by a relative error of a few
   e 2^-W / |E(q^p)|; the error of q and q^-1 adds terms of that order;
-- a value evaluated at a wider Wb >= W and floored to W (the value memo of
-  `traces._class_sum` evaluates at W rounded up to a multiple of 64) carries
+- a value evaluated at a wider Wb >= W and floored to W (a verifier's
+  `traces.TraceMemo` evaluates at W rounded up to a multiple of 64) carries
   the kernel's error at Wb, below its bound at W, plus under one unit of 2^-W
   per component from the shift;
 - the Faber Horner scales the error of j_p* by |P_D'(x)|, about D |x|^{D-1},

@@ -15,13 +15,11 @@ then validates the realization against the Hecke action on coefficient tables.
 from __future__ import annotations
 
 import fcntl
-import functools
 import json
 import math
 import operator
 import os
 import re
-import threading
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -110,7 +108,7 @@ def _as_level(p) -> PrimeLevel:
 
 
 # ---------------------------------------------------------------------------
-# per-level computation state
+# per-level series and per-call memo
 
 
 class _LevelState:
@@ -118,40 +116,59 @@ class _LevelState:
         self.level = level
         self.haupt: Hauptmodul | None = None
         self.polys: list[list[int]] = []
-        self.classes_cache: dict[int, list[HeegnerClass]] = {}
-        self.weights_cache: dict[int, dict[tuple[int, int, int], int]] = {}
-        self.value_cache: dict[tuple, Fixed] = {}
-        self.trace_cache: dict[tuple[int, int], TraceRecord] = {}
-        self.lock = threading.RLock()
 
     def faber_poly(self, D: int) -> list[int]:
         """P_D, sized here alone: the Hauptmodul series at the next power of two at
         or above D + 2, the Faber list extended to exactly D.  CM values come
         from the eta product, so the series feeds only the Faber list.  Both are
         exact, so growing either changes no value read from it."""
-        with self.lock:
-            if self.haupt is None or self.haupt.order < D + 2:
-                self.haupt = build_hauptmodul(self.level, 1 << (D + 1).bit_length())
-            if D >= len(self.polys):
-                self.polys = faber_polys(self.haupt, D, self.polys)
-            return self.polys[D]
+        if self.haupt is None or self.haupt.order < D + 2:
+            self.haupt = build_hauptmodul(self.level, 1 << (D + 1).bit_length())
+        if D >= len(self.polys):
+            self.polys = faber_polys(self.haupt, D, self.polys)
+        return self.polys[D]
 
 
 _STATES: dict[int, _LevelState] = {}
-_STATES_LOCK = threading.Lock()
 
 
 def _state(level: PrimeLevel) -> _LevelState:
-    with _STATES_LOCK:
-        if level.p not in _STATES:
-            _STATES[level.p] = _LevelState(level)
-        return _STATES[level.p]
+    st = _STATES.get(level.p)
+    if st is None:
+        st = _STATES[level.p] = _LevelState(level)
+    return st
 
 
 def reset_state():
-    """Drop all per-level caches (mainly for tests)."""
-    with _STATES_LOCK:
-        _STATES.clear()
+    """Drop the per-level series and Faber lists (mainly for tests)."""
+    _STATES.clear()
+
+
+class TraceMemo:
+    """What the traces of one verifier call share, dropped with the call: per d
+    the classes and the weights (`_weights`), so every Faber degree at d
+    enumerates and weighs once; CM values per (primitive form, Wb), Wb being W
+    rounded up to a multiple of `bucket`; records and B (`b`) per (D, d).
+    trace() without a memo makes one with bucket 1, evaluated at W itself.
+    Classes are keyed by d alone, so trace() refuses a memo of another level."""
+
+    def __init__(self, p, bucket: int = 64):
+        self.level = _as_level(p)
+        self.bucket = bucket
+        self.classes: dict[int, list[HeegnerClass]] = {}
+        self.weights: dict[int, dict[tuple[int, int, int], int]] = {}
+        self.values: dict[tuple, Fixed] = {}
+        self.records: dict[tuple[int, int], TraceRecord] = {}
+        self.b_coeffs: dict[tuple[int, int], int] = {}
+
+    def b(self, D: int | None, d: int | None) -> int:
+        """B(D, d), extended by convention to 0 at a non-integer index (None),
+        looked up before `b_coeff` is called."""
+        if D is None or d is None:
+            return 0
+        if (D, d) not in self.b_coeffs:
+            self.b_coeffs[(D, d)] = b_coeff(self.level, D, d, self)
+        return self.b_coeffs[(D, d)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,38 +210,32 @@ def _weights(level: PrimeLevel, d: int, classes: list[HeegnerClass]) -> dict[tup
     return primitive
 
 
-def _class_sum(st: _LevelState, D: int, d: int, classes: list[HeegnerClass],
-               weights: dict[tuple[int, int, int], int], values: dict,
+def _class_sum(st: _LevelState, D: int, d: int, memo: TraceMemo,
                ctx0: PrecisionContext | None = None, method: str = "gkz") -> TraceRecord:
     """Sum P_D(j_p*) over the CM points of discriminant -d and certify the integer.
 
-    The sum is one fixed-point integer over `weights`, from `_weights`, each
-    CM point evaluated at its primitive form.  values is value_cache or a dict
-    private to one call.  value_cache keys a value by (primitive form, Wb), so
-    it is a function of its key alone and the traces at d and at f^2 d share
-    the values of their common CM points.  Into value_cache each point is
-    evaluated once per width bucket Wb, W rounded up to a multiple of 64, and
-    every plan whose W falls in the bucket reads it shifted down to W, whatever
-    its d and Faber degree; a private dict is dropped on return, so its points
-    are evaluated at W itself.
+    The sum is one fixed-point integer over memo.weights[d], from `_weights`,
+    each CM point evaluated at its primitive form.  memo.values keys a value by
+    (primitive form, Wb), so it is a function of its key alone: each point is
+    evaluated once per width bucket Wb, W rounded up to a multiple of
+    memo.bucket, and every plan whose W falls in the bucket reads it shifted
+    down to W, whatever its d and Faber degree.
     """
     p = st.level.p
+    classes, weights, values = memo.classes[d], memo.weights[d], memo.values
     ctx = plan_precision(st.level, d, classes, ctx0, degree=D)
 
     poly = st.faber_poly(D)
 
-    memo = values is st.value_cache
-
     def compute(c: PrecisionContext) -> Ratio:
         W = fixed_width(c.bits)
-        Wb = -(-W // 64) * 64 if memo else W  # the width the values are evaluated at
+        Wb = -(-W // memo.bucket) * memo.bucket  # the width the values are evaluated at
         bits, shift = Wb - FIXED_GUARD_BITS, Wb - W
         total = 0
         for form, w in weights.items():
             key = (form, Wb)
-            with st.lock:
-                if key not in values:
-                    values[key] = eta_hauptmodul(st.level, cm_point_q(form, bits), bits)
+            if key not in values:
+                values[key] = eta_hauptmodul(st.level, cm_point_q(form, bits), bits)
             re, im = values[key]
             total += w * horner_poly(poly, (re >> shift, im >> shift), c.bits)[0]
         return Ratio(total, 12 << W)
@@ -247,21 +258,19 @@ def trace(
     ctx0: PrecisionContext | None = None,
     method: str = "gkz",
     cache: "TraceCache | None" = None,
-    memo: bool = True,
+    memo: TraceMemo | None = None,
 ) -> TraceRecord:
     """The generalized trace t_D^{(p)}(d), certified as an exact integer.
 
-    D and the charge d degree_cost(D) are bounded before any work.  A call
-    with ctx0 or a method other than "gkz" is an oracle request, run with
-    memo=False and no cache.  Every call is resolved in one order: the
-    per-level memo, then `cache`, then `_class_sum`, whose record the memo
-    keeps.  A memo hit and a computed record reach the one `cache.put`; a
-    cache hit gets its class count and is not written back.  The memo keeps
-    per d the classes and the weight of each CM point (`_weights`), so the
-    traces of every Faber degree at one d enumerate and weigh once.
-    memo=False reads and keeps no memoized classes, weights, CM values or
-    record.  Only the exact series and Faber polynomials, which
-    `_LevelState.faber_poly` alone sizes, are shared by every call.
+    D, the charge d degree_cost(D) and the level of `memo` are checked before
+    any work.  A call with ctx0 or a method other than "gkz" is an oracle
+    request, run with no memo and no cache.  Every call is resolved in one
+    order: `memo`, then `cache`, then `_class_sum`, whose record the memo
+    keeps.  A memo hit and a computed record reach the one `cache.put`; a cache
+    hit gets its class count and is not written back.  With no memo (None or
+    False) a call shares nothing: its values are evaluated at W in a memo of
+    its own.  Every call shares only the exact series and Faber polynomials,
+    which `_LevelState.faber_poly` alone sizes.
     """
     level = _as_level(p)
     if D < 1:
@@ -271,43 +280,36 @@ def trace(
     if d * degree_cost(D) > MAX_COST:
         raise ValueError(f"d={d} is above the supported bound {MAX_COST // degree_cost(D)} "
                          f"at Faber degree D={D}: d degree_cost(D) must stay within {MAX_COST}")
+    if memo and memo.level.p != level.p:
+        raise ValueError(f"a TraceMemo of p={memo.level.p} was passed with a trace at p={level.p}")
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
-    st = _state(level)
     if ctx0 is not None or method != "gkz":
-        memo, cache = False, None
-    # without the memo, classes, weights, CM values and the record live in fresh dicts
-    classes, weights, values, records = (
-        (st.classes_cache, st.weights_cache, st.value_cache, st.trace_cache) if memo
-        else ({}, {}, {}, {})
-    )
-    with st.lock:
-        rec = records.get((D, d))
+        memo, cache = None, None
+    memo = memo or TraceMemo(level, bucket=1)
+    rec = memo.records.get((D, d))
     if rec is None and cache is not None:
         hit = cache.get(level.p, D, d)
         if hit is not None:
             return hit._replace(class_count=class_count(level, d))
     if rec is None:
-        with st.lock:
-            if d not in classes:
-                classes[d] = enumerate_classes(level, d, method)
-            if d not in weights:
-                weights[d] = _weights(level, d, classes[d])
-        rec = _class_sum(st, D, d, classes[d], weights[d], values, ctx0, method)
-        with st.lock:
-            records[(D, d)] = rec
+        if d not in memo.classes:
+            memo.classes[d] = enumerate_classes(level, d, method)
+            memo.weights[d] = _weights(level, d, memo.classes[d])
+        rec = memo.records[(D, d)] = _class_sum(_state(level), D, d, memo, ctx0, method)
     if cache is not None:
         cache.put(rec)  # a memo record was computed here, never read from a cache
     return rec
 
 
-def b_coeff(p, D: int, d: int) -> int:
+def b_coeff(p, D: int, d: int, memo: TraceMemo | None = None) -> int:
     """B(D, d) for a perfect square D = m^2, via Moebius inversion of traces.
 
     The divisor-sum relation t_m(d) = -sum_{n | m} n B(n^2, d) inverts to
     m B(m^2, d) = -sum_{n | m} mu(m/n) t_n(d).  D = 1 reduces to the anchored
     duality B(1, d) = -t(d); for D > 1 the exact divisibility by m is part of
-    the integrality certificate and failure raises instead of rounding.
+    the integrality certificate and failure raises instead of rounding.  The
+    traces share `memo`, if one is given.
     """
     level = _as_level(p)
     m = check_square(D)
@@ -315,7 +317,7 @@ def b_coeff(p, D: int, d: int) -> int:
     for n in divisors(m):
         mu = moebius(m // n)
         if mu:
-            acc += mu * trace(level, n, d).value
+            acc += mu * trace(level, n, d, memo=memo).value
     if acc % m:
         raise ArithmeticError(
             f"trace combination for B({D}, {d}) at p={level.p} is not divisible "
@@ -419,12 +421,6 @@ def check_square(D: int) -> int:
     return m
 
 
-def _b_memo(level: PrimeLevel):
-    """B(D, d), extended by convention to 0 at non-integer indices, computed
-    once per (D, d) for the verifier call that holds it."""
-    return functools.cache(lambda D, d: 0 if D is None or d is None else b_coeff(level, D, d))
-
-
 def check_reach(ell: int, n: int, d: int, D: int = 1) -> int:
     """Raise ValueError unless the discriminant ell^(2n) d stays within
     qforms.MAX_DISC and the Faber degree ell^n sqrt(D) within MAX_DEGREE: the
@@ -444,13 +440,6 @@ def check_reach(ell: int, n: int, d: int, D: int = 1) -> int:
     return disc * degree_cost(math.isqrt(D))
 
 
-def _check_charge(ell: int, n: int, d: int, D: int = 1):
-    """check_reach, refusing a check charged above MAX_COST."""
-    if (charge := check_reach(ell, n, d, D)) > MAX_COST:
-        raise ValueError(f"ell={ell}, n={n}, d={d}, D={D}: the charge ell^(2n) d degree_cost(sqrt(D)) "
-                         f"= {charge} is above the supported bound {MAX_COST}")
-
-
 def check_grid(ell: int, n: int, ds: list[int], Ds: list[int]) -> int:
     """Return the charge of a verify grid, one check at (n, D, d) for each D in
     Ds and d in ds; raise ValueError if it is above MAX_COST.  A check's charge
@@ -466,7 +455,7 @@ def check_grid(ell: int, n: int, ds: list[int], Ds: list[int]) -> int:
             first = d
     if first is not None:
         raise ValueError(f"the discriminants ell^(2n) d of the grid's checks (ell={ell}, n={n}), "
-                         f"times the cost of Faber degree sqrt(D), sum to {total}, past the "
+                         f"times the cost of Faber degree sqrt(D), sum to {total}, above the "
                          f"supported bound {MAX_COST} at d={first}")
     return total
 
@@ -495,16 +484,17 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     ell B(ell^2 D, d) + (D/ell) B(D, d) + B(D/ell^2, d).  Their equality
     certifies the duality A_ell = -B_ell with A := -B.  A failure means
     "identification or implementation failure" and is reported, not raised.
-    The largest check and then the whole grid are charged (`check_grid`)
-    before any trace, and each B(D, d) is computed once per call.
+    The reach of the largest check, then the charge of the whole grid
+    (`check_grid`), are checked before any trace.  The call's traces share one
+    `TraceMemo`, so each B(D, d) is computed once per call.
     """
     level = _as_level(p)
     check_ell(level, ell)
     if D_list and d_list:
-        _check_charge(ell, 1, max(d_list), max(D_list))
+        check_reach(ell, 1, max(d_list), max(D_list))
         check_grid(ell, 1, d_list, D_list)
     ell2 = ell * ell
-    B = _b_memo(level)
+    B = TraceMemo(level).b
     checks = []
     for D in D_list:
         for d in d_list:
@@ -542,8 +532,9 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
 
     For n = 1 the formula specializes exactly to the single-step identity
     (asserted by comparing both expression forms); for n = 2 it is also
-    cross-checked against two iterated single-step applications.  Each
-    B(D, d) the two sides share is computed once.
+    cross-checked against two iterated single-step applications.  The check
+    is charged as a grid of one (`check_grid`) before any trace, and its traces
+    share one `TraceMemo`, so each B(D, d) the two sides share is computed once.
     """
     level = _as_level(p)
     check_ell(level, ell)
@@ -552,9 +543,10 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     if not is_admissible(d, level):
         raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
     check_square(D)
-    _check_charge(ell, n, d, D)
+    check_reach(ell, n, d, D)
+    check_grid(ell, n, [d], [D])
     ell2 = ell * ell
-    B = _b_memo(level)
+    B = TraceMemo(level).b
     kD = kronecker(D, ell)
     kd = kronecker(-d, ell)
 
@@ -593,6 +585,8 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
 
     The hypothesis implies that ell does not divide d, so the stronger exact
     identity t^{(p)}(ell^{2n} d) = -ell^n B(ell^{2n}, d) is checked as well.
+    The check is charged as a grid of one (`check_grid`) before any trace, and
+    its traces share one `TraceMemo`.
     """
     level = _as_level(p)
     check_ell(level, ell)
@@ -602,10 +596,12 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
         raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
     if not splits(ell, d):
         raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
-    _check_charge(ell, n, d)
-    big = trace(level, 1, ell ** (2 * n) * d)
+    check_reach(ell, n, d)
+    check_grid(ell, n, [d], [1])
+    memo = TraceMemo(level)
+    big = trace(level, 1, ell ** (2 * n) * d, memo=memo)
     cong_ok = big.value % ell**n == 0
-    lift = -b_coeff(level, ell ** (2 * n), d)
+    lift = -b_coeff(level, ell ** (2 * n), d, memo)
     exact_ok = big.value == ell**n * lift
     return {
         "kind": "congruence",
@@ -679,7 +675,6 @@ class TraceCache:
         self.path = Path(path)
         # (p, D, d) -> (value, bits, terms, method): get builds the TraceRecord
         self._mem: dict[tuple[int, int, int], tuple[int, int, int, str]] = {}
-        self._lock = threading.Lock()
         self._fd: int | None = None  # append descriptor, opened by the first write
         if self.path.exists():
             self._load()
@@ -721,8 +716,7 @@ class TraceCache:
                 mem[key] = (t, bits, terms, method)
 
     def get(self, p: int, D: int, d: int) -> TraceRecord | None:
-        with self._lock:
-            row = self._mem.get((p, D, d))
+        row = self._mem.get((p, D, d))
         return None if row is None else TraceRecord(p, D, d, *row, cached=True)
 
     def put(self, rec: TraceRecord):
@@ -731,42 +725,40 @@ class TraceCache:
         would refuse raises ValueError before the file is opened."""
         _check_fields(rec.p, rec.D, rec.d, rec.bits, rec.terms, rec.method)
         key = (rec.p, rec.D, rec.d)
-        with self._lock:
-            prev = self._mem.get(key)
-            if prev is not None:
-                if prev[0] != rec.value:
-                    raise CacheIntegrityError(
-                        f"{self.path}: conflicting values for {key}: {prev[0]} vs {rec.value}"
-                    )
-                return
-            line = json.dumps(
-                {
-                    "p": rec.p,
-                    "D": rec.D,
-                    "d": rec.d,
-                    "t": str(rec.value),
-                    "bits": rec.bits,
-                    "terms": rec.terms,
-                    "method": rec.method,
-                }
-            )
-            if self._fd is None:
-                self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-            data = (line + "\n").encode()
-            fcntl.flock(self._fd, fcntl.LOCK_EX)  # check, cut and append as one step
-            try:
-                _cut_torn_line(self._fd)
-                if os.write(self._fd, data) != len(data):  # one write: a line is never split
-                    raise OSError(f"{self.path}: short write, the last line may be torn")
-            finally:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            self._mem[key] = (rec.value, rec.bits, rec.terms, rec.method)
+        prev = self._mem.get(key)
+        if prev is not None:
+            if prev[0] != rec.value:
+                raise CacheIntegrityError(
+                    f"{self.path}: conflicting values for {key}: {prev[0]} vs {rec.value}"
+                )
+            return
+        line = json.dumps(
+            {
+                "p": rec.p,
+                "D": rec.D,
+                "d": rec.d,
+                "t": str(rec.value),
+                "bits": rec.bits,
+                "terms": rec.terms,
+                "method": rec.method,
+            }
+        )
+        if self._fd is None:
+            self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        data = (line + "\n").encode()
+        fcntl.flock(self._fd, fcntl.LOCK_EX)  # check, cut and append as one step
+        try:
+            _cut_torn_line(self._fd)
+            if os.write(self._fd, data) != len(data):  # one write: a line is never split
+                raise OSError(f"{self.path}: short write, the last line may be torn")
+        finally:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
+        self._mem[key] = (rec.value, rec.bits, rec.terms, rec.method)
 
     def close(self):
-        with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "TraceCache":
         return self
@@ -775,26 +767,25 @@ class TraceCache:
         self.close()
 
     def stats(self) -> dict:
-        with self._lock:
-            by_p: dict[int, int] = {}
-            for (p, _, _) in self._mem:
-                by_p[p] = by_p.get(p, 0) + 1
-            return {"path": str(self.path), "records": len(self._mem), "by_level": by_p}
+        by_p: dict[int, int] = {}
+        for (p, _, _) in self._mem:
+            by_p[p] = by_p.get(p, 0) + 1
+        return {"path": str(self.path), "records": len(self._mem), "by_level": by_p}
 
     def verify(self) -> dict:
         """Recompute every cached trace and compare; returns a report.
 
-        Each recomputation uses the record's own enumeration method and
-        memo=False: no classes, CM values or records from the in-process memo.
+        Each recomputation uses the record's own enumeration method and no
+        memo, so it shares no classes, CM values or records with the call that
+        computed the record.
         A record past today's bounds, which trace() refuses, is listed under
         "refused" with the reason and not counted as checked.
         """
         bad, refused = [], []
-        with self._lock:
-            items = list(self._mem.items())
+        items = list(self._mem.items())
         for (p, D, d), (value, _, _, method) in items:
             try:
-                fresh = trace(p, D, d, method=method, memo=False)
+                fresh = trace(p, D, d, method=method)
             except ValueError as exc:
                 refused.append({"p": p, "D": D, "d": d, "reason": str(exc)})
                 continue

@@ -17,7 +17,6 @@ from moduli_traces import cli, qforms, traces
 from moduli_traces.arith import PrimeLevel, is_admissible, splits
 from moduli_traces.cm_eval import fixed_width
 from moduli_traces.hauptmodul import MAX_ORDER
-from moduli_traces.traces import reset_state
 
 
 def run(capsys, *argv):
@@ -73,9 +72,7 @@ class TestTrace:
 
     def test_cache_hit_reported(self, tmp_path, capsys):
         cache = str(tmp_path / "c.jsonl")
-        reset_state()  # in-process memo would otherwise bypass the cache file
         run(capsys, "trace", "--p", "2", "--d", "4", "--format", "json", "--cache", cache)
-        reset_state()
         code, out, _ = run(capsys, "trace", "--p", "2", "--d", "4",
                            "--format", "json", "--cache", cache)
         assert code == 0
@@ -92,12 +89,8 @@ class TestTrace:
             return re + (1 << (fixed_width(bits) - 1)), im
 
         monkeypatch.setattr(traces, "eta_hauptmodul", off_by_half)
-        reset_state()
-        try:
-            code, out, err = run(capsys, "trace", "--p", "2", "--d", "4",
-                                 "--cache", str(tmp_path / "c.jsonl"))
-        finally:
-            reset_state()
+        code, out, err = run(capsys, "trace", "--p", "2", "--d", "4",
+                             "--cache", str(tmp_path / "c.jsonl"))
         assert code == 3 and out == ""
         [line] = err.splitlines()
         msg = json.loads(line)["error"]
@@ -123,16 +116,11 @@ class TestTrace:
         cache = str(tmp_path / "c.jsonl")
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         outs = []
-        reset_state()
-        try:
-            for _ in range(2):
-                code, out, err = run(capsys, "trace", "--p", "2", "--D", "256", "--d", "607",
-                                     "--format", "json", "--cache", cache)
-                assert (code, err) == (0, "")
-                outs.append(json.loads(out))
-                reset_state()
-        finally:
-            reset_state()
+        for _ in range(2):
+            code, out, err = run(capsys, "trace", "--p", "2", "--D", "256", "--d", "607",
+                                 "--format", "json", "--cache", cache)
+            assert (code, err) == (0, "")
+            outs.append(json.loads(out))
         assert [o["cached"] for o in outs] == [False, True]
         assert outs[0]["trace"] == outs[1]["trace"] and len(outs[0]["trace"]) > 4300
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
@@ -244,7 +232,8 @@ class TestVerify:
         # built (d degree_cost(D) for a trace, ell^(2n) d degree_cost(sqrt(D))
         # for a check)
         ("trace --D 256 --d 9999999", "d=9999999", traces.MAX_COST // traces.degree_cost(256)),
-        ("verify recurrence --ell 3 --D 7225 --d 1111111", "ell=3, n=1, d=1111111, D=7225",
+        ("verify recurrence --ell 3 --D 7225 --d 1111111",
+         "(ell=3, n=1), times the cost of Faber degree sqrt(D), sum to 7829999217",
          traces.MAX_COST),
         ("verify recurrence --ell 3 --n 1 --D 1000000 --d 7", "ell=3, n=1, D=1000000",
          traces.MAX_DEGREE),
@@ -342,15 +331,13 @@ class TestTraceTable:
         monkeypatch.setattr(traces, "enumerate_classes", counted)
         monkeypatch.setattr(qforms, "_reduced_triples", counted_reps)
         cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
-        reset_state()
         code, out_cold, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
                                 "--cache", str(cold))
         assert code == 0
         rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
         assert calls == rows and reps == rows
         st = traces._state(PrimeLevel(2))
-        assert st.classes_cache == {} and st.weights_cache == {}
-        assert st.value_cache == {} and st.trace_cache == {}
+        assert set(vars(st)) == {"level", "haupt", "polys"}  # no memo outlives a row
 
         warm.write_bytes(cold.read_bytes())
         warm.chmod(0o444)  # as in the benchmark; a superuser can still write, so compare bytes
@@ -360,8 +347,6 @@ class TestTraceTable:
                                 "--cache", str(warm))
         assert code == 0 and out_warm == out_cold and calls == [] and reps == rows
         assert warm.read_bytes() == cold.read_bytes()
-        assert st.classes_cache == {} and st.weights_cache == {}
-        assert st.value_cache == {} and st.trace_cache == {}
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["default", "csv"])
     def test_empty_table_prints_the_header(self, tmp_path, capsys, fmt):
@@ -378,7 +363,6 @@ class TestTraceTable:
 class TestCacheCommand:
     def test_stats_and_verify(self, tmp_path, capsys):
         cache = str(tmp_path / "c.jsonl")
-        reset_state()  # force fresh computations so the cache file is written
         run(capsys, "trace", "--p", "2", "--d", "4", "--cache", cache)
         run(capsys, "trace", "--p", "2", "--d", "7", "--cache", cache)
         code, out, _ = run(capsys, "cache", "stats", "--format", "json", "--cache", cache)
@@ -398,7 +382,6 @@ class TestCacheCommand:
                         "method": "gkz"}) + "\n"
             for D, d, t in ((300, 4, "5"), (1, 4, "-26"), (256, 2444, "6"), (1, 7, "-23"))
         ))
-        reset_state()
         code, out, err = run(capsys, "cache", "verify", "--format", "json", "--cache", str(cache))
         assert code == 1 and err == ""
         assert json.loads(out) == {
@@ -429,7 +412,6 @@ class TestCacheCommand:
             for d, t in ((4, "-26"), (7, "-23"))
         ))
         cache.write_bytes(cache.read_bytes()[:-20])  # a writer killed mid-line
-        reset_state()
         code, out, err = run(capsys, "trace", "--p", "2", "--d", "8", "--format", "json",
                              "--cache", str(cache))
         assert code == 0 and json.loads(out)["trace"] == "76"
@@ -438,23 +420,34 @@ class TestCacheCommand:
         }
         assert [json.loads(line)["d"] for line in cache.read_text().splitlines()] == [4, 8]
 
-    def test_conflicting_put_exits_4_and_names_the_cache(self, tmp_path, capsys):
-        # a memo record meets a cache line with another value for its key
-        reset_state()
-        try:
-            code, *_ = run(capsys, "trace", "--p", "2", "--d", "4",
-                           "--cache", str(tmp_path / "good.jsonl"))
-            assert code == 0
-            bad = tmp_path / "bad.jsonl"
-            bad.write_text(json.dumps({"p": 2, "D": 1, "d": 4, "t": "-25", "bits": 128,
-                                       "terms": 64, "method": "gkz"}) + "\n")
-            code, out, err = run(capsys, "trace", "--p", "2", "--d", "4", "--cache", str(bad))
-        finally:
-            reset_state()
+    def test_conflicting_put_exits_4_and_names_the_cache(self, tmp_path, capsys, monkeypatch):
+        # a computed record meets a cache line with another value for its key:
+        # get is made to miss, so the record reaches put
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"p": 2, "D": 1, "d": 4, "t": "-25", "bits": 128,
+                                   "terms": 64, "method": "gkz"}) + "\n")
+        monkeypatch.setattr(traces.TraceCache, "get", lambda self, p, D, d: None)
+        code, out, err = run(capsys, "trace", "--p", "2", "--d", "4", "--cache", str(bad))
         assert code == 4 and out == ""
         assert json.loads(err) == {
             "error": f"{bad}: conflicting values for (2, 1, 4): -25 vs -26"
         }
+
+    def test_verify_of_a_missing_file_exits_4_and_names_it(self, tmp_path, capsys):
+        # a mistyped path does not pass the audit with nothing checked
+        missing = tmp_path / "no" / "such.jsonl"
+        code, out, err = run(capsys, "cache", "verify", "--format", "json", "--cache", str(missing))
+        assert code == 4 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {"error": f"cache verify: no cache file at {missing}"}
+        assert not missing.exists()
+
+    def test_stats_of_a_missing_file_reports_no_records(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such.jsonl"
+        code, out, err = run(capsys, "cache", "stats", "--format", "json", "--cache", str(missing))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"path": str(missing), "records": 0, "by_level": {}}
+        assert not missing.exists()
 
     def test_corrupt_cache_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "c.jsonl"

@@ -348,7 +348,7 @@ class TestFixedPointKernel:
             for d in range(1, 100):
                 if not is_admissible(d, level):
                     continue
-                value = trace(level, D, d, memo=False).value
+                value = trace(level, D, d).value
                 assert value == oracles.trace_value(p, D, d), (D, d)
                 up = plan_precision(level, d, enumerate_classes(level, d), degree=D).escalate()
                 assert trace(level, D, d, ctx0=up).value == value, (D, d)

@@ -40,6 +40,7 @@ from moduli_traces.traces import (
     CoeffTable,
     HypothesisViolation,
     TraceCache,
+    TraceMemo,
     TraceRecord,
     _state,
     a_coeff,
@@ -91,33 +92,61 @@ class TestTrace:
         assert trace(P2, 1, 108).value == -12288992
         assert trace(P2, 1, 16).value == 518
 
-    @pytest.mark.parametrize("kwargs", [
-        {"memo": False},
-        {"ctx0": PrecisionContext(bits=256, terms=128)},
-    ])
-    def test_unmemoized_call_keeps_nothing(self, kwargs):
+    @pytest.mark.parametrize("call", [
+        lambda: trace(P2, 1, 23),
+        lambda: trace(P2, 1, 23, memo=False),
+        lambda: trace(P2, 1, 23, ctx0=PrecisionContext(bits=256, terms=128)),
+        lambda: trace(P2, 1, 23, memo=TraceMemo(P2)),
+        lambda: b_coeff(P2, 4, 23),
+        lambda: verify_coeff_identities(P2, 3, [1, 4], [7, 8]),
+        lambda: verify_recurrence(P2, 3, 1, 8, 1),
+        lambda: verify_congruence(P2, 3, 8, 1),
+    ], ids=["trace", "memo-false", "ctx0", "memo", "b_coeff", "identities", "recurrence",
+            "congruence"])
+    def test_level_state_holds_only_the_series_and_faber_list(self, call):
+        # the process keeps no classes, weights, CM values or records between calls
         reset_state()
         try:
-            assert trace(P2, 1, 23, **kwargs).value == -94
-            st = _state(P2)
-            assert st.classes_cache == {} and st.weights_cache == {}
-            assert st.value_cache == {} and st.trace_cache == {}
+            call()
+            assert {p: set(vars(st)) for p, st in traces_mod._STATES.items()} == {
+                2: {"level", "haupt", "polys"}}
         finally:
             reset_state()
 
-    def test_unmemoized_call_reads_no_memo(self):
-        reset_state()
-        try:
-            rec = trace(P2, 1, 23)
-            _state(P2).classes_cache[23] = []  # would sum to 0 if read
-            assert trace(P2, 1, 23, memo=False).value == rec.value
-        finally:
-            reset_state()
+    @pytest.mark.parametrize("kwargs", [{}, {"memo": False}])
+    def test_calls_without_a_memo_each_compute(self, monkeypatch, kwargs):
+        calls = []
+        real = traces_mod.enumerate_classes
+        monkeypatch.setattr(traces_mod, "enumerate_classes",
+                            lambda *args: calls.append(args) or real(*args))
+        first = trace(P2, 1, 23, **kwargs)
+        second = trace(P2, 1, 23, **kwargs)
+        assert first == second and first is not second
+        assert calls == [(P2, 23, "gkz")] * 2
+
+    def test_call_without_a_memo_reads_none(self):
+        # a memo whose record is poisoned serves it to a call that passes it, and
+        # to no other call
+        memo = TraceMemo(P2)
+        rec = trace(P2, 1, 23, memo=memo)
+        memo.records[(1, 23)] = rec._replace(value=0)
+        assert trace(P2, 1, 23, memo=memo).value == 0
+        assert trace(P2, 1, 23).value == trace(P2, 1, 23, memo=False).value == -94
+
+    def test_memo_of_another_level_is_refused(self, monkeypatch):
+        # its classes are keyed by d alone: refused before any work
+        monkeypatch.setattr(traces_mod, "enumerate_classes",
+                            lambda *args: pytest.fail("classes enumerated"))
+        memo = TraceMemo(P3)
+        for call in (lambda: trace(P2, 1, 23, memo=memo), lambda: b_coeff(P2, 1, 23, memo)):
+            with pytest.raises(ValueError, match="TraceMemo of p=3 was passed with a trace at p=2"):
+                call()
+        assert memo.classes == memo.values == memo.records == {}
 
     def test_brute_request_with_a_cache_computes_afresh(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with TraceCache(path) as cache:
-            trace(P2, 1, 23, cache=cache, memo=False)
+            trace(P2, 1, 23, cache=cache)
         before = path.read_bytes()
         with TraceCache(path) as cache:
             rec = trace(P2, 1, 23, method="brute", cache=cache)
@@ -127,7 +156,7 @@ class TestTrace:
     def test_ctx0_request_with_a_cache_computes_afresh(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with TraceCache(path) as cache:
-            first = trace(P2, 1, 7, cache=cache, memo=False)
+            first = trace(P2, 1, 7, cache=cache)
         before = path.read_bytes()
         with TraceCache(path) as cache:
             rec = trace(P2, 1, 7, ctx0=PrecisionContext(640, 256), cache=cache)
@@ -171,26 +200,21 @@ class TestTrace:
             reset_state()
 
     def test_memoized_oracle_request_evaluates_its_own_values(self, monkeypatch):
-        reset_state()
-        try:
-            trace(P2, 1, 108)
-            st = _state(P2)
-            memo = (dict(st.classes_cache), dict(st.weights_cache), dict(st.value_cache),
-                    dict(st.trace_cache))
-            calls = []
-            real = traces_mod.eta_hauptmodul
-            monkeypatch.setattr(traces_mod, "eta_hauptmodul",
-                                lambda *args: calls.append(args) or real(*args))
-            rec = trace(P2, 1, 108, method="brute")
-            assert (rec.method, rec.value) == ("brute", -12288992)
-            assert len(calls) == 3  # one per distinct (a, |b|, c) of the evaluation forms
-            assert (st.classes_cache, st.weights_cache, st.value_cache, st.trace_cache) == memo
-        finally:
-            reset_state()
+        memo = TraceMemo(P2)
+        trace(P2, 1, 108, memo=memo)
+        kept = (dict(memo.classes), dict(memo.weights), dict(memo.values), dict(memo.records))
+        calls = []
+        real = traces_mod.eta_hauptmodul
+        monkeypatch.setattr(traces_mod, "eta_hauptmodul",
+                            lambda *args: calls.append(args) or real(*args))
+        rec = trace(P2, 1, 108, method="brute", memo=memo)
+        assert (rec.method, rec.value) == ("brute", -12288992)
+        assert len(calls) == 3  # one per distinct (a, |b|, c) of the evaluation forms
+        assert (memo.classes, memo.weights, memo.values, memo.records) == kept
 
     def test_value_memo_is_shared_across_faber_degrees(self, monkeypatch):
         # at p=13, d=23 the degrees 1, 2, 3 and 5 all plan the same bits, and
-        # the memo keys a CM value by ((a, |b|, c), Wb) alone, Wb being W
+        # a memo keys a CM value by ((a, |b|, c), Wb) alone, Wb being W
         # rounded up to a multiple of 64: after t_1(23) evaluated its 2
         # distinct (a, |b|, c), (13, 9, 2) and (26, 17, 3), the higher degrees
         # evaluate none
@@ -202,16 +226,13 @@ class TestTrace:
         real = traces_mod.eta_hauptmodul
         monkeypatch.setattr(traces_mod, "eta_hauptmodul",
                             lambda *args: calls.append(args) or real(*args))
-        reset_state()
-        try:
-            trace(level, 1, 23)
-            assert len(calls) == 2
-            calls.clear()
-            for D in (2, 3, 5):
-                assert trace(level, D, 23).value == oracles.trace_value(13, D, 23), D
-            assert calls == []
-        finally:
-            reset_state()
+        memo = TraceMemo(level)
+        trace(level, 1, 23, memo=memo)
+        assert len(calls) == 2
+        calls.clear()
+        for D in (2, 3, 5):
+            assert trace(level, D, 23, memo=memo).value == oracles.trace_value(13, D, 23), D
+        assert calls == []
 
     def test_value_memo_serves_every_plan_in_a_width_bucket(self, monkeypatch):
         # at p=13, d=79 the degrees 1 and 15 plan different bits, 128 and 143,
@@ -225,21 +246,20 @@ class TestTrace:
         real = traces_mod.eta_hauptmodul
         monkeypatch.setattr(traces_mod, "eta_hauptmodul",
                             lambda *args: calls.append(args) or real(*args))
-        reset_state()
-        try:
-            trace(level, 1, 79)
-            assert len(calls) == 4
-            calls.clear()
-            assert trace(level, 15, 79).value == oracles.trace_value(13, 15, 79)
-            assert calls == []
-        finally:
-            reset_state()
+        memo = TraceMemo(level)
+        trace(level, 1, 79, memo=memo)
+        assert len(calls) == 4 and {Wb for _, Wb in memo.values} == {192}
+        calls.clear()
+        assert trace(level, 15, 79, memo=memo).value == oracles.trace_value(13, 15, 79)
+        assert calls == []
 
     def test_identities_p13_grid_evaluates_each_cm_point_once(self, monkeypatch):
-        # verify coeff-identities --p 13 --ell 3 --Dmax 25 --dmax 126: the memo
-        # keys a CM value by its primitive form, so the traces at d and 9d share
-        # their common points, and the verifier computes each B(D, d) once.
-        # Keyed by (a, |b|, c) it took 347 evaluations, and 1022 B were asked for
+        # verify coeff-identities --p 13 --ell 3 --Dmax 25 --dmax 126: the
+        # call's memo keys a CM value by its primitive form, so the traces at d
+        # and 9d share their common points, and it computes each B(D, d) once.
+        # Keyed by (a, |b|, c) it took 347 evaluations, and 1022 B were asked
+        # for.  The memo is dropped with the call, so a second call evaluates
+        # as many points again
         level = PrimeLevel(13)
         ds = [d for d in range(1, 127) if is_admissible(d, level)]
         calls = collections.Counter()
@@ -247,61 +267,59 @@ class TestTrace:
             real = getattr(traces_mod, name)
             monkeypatch.setattr(traces_mod, name, lambda *args, _name=name, _real=real:
                                 calls.update([_name]) or _real(*args))
-        reset_state()
-        try:
+        memos = []
+
+        class Kept(TraceMemo):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                memos.append(self)
+
+        monkeypatch.setattr(traces_mod, "TraceMemo", Kept)
+        for _ in range(2):
+            calls.clear()
             assert verify_coeff_identities(level, 3, [1, 4, 9, 16, 25], ds)["ok"]
             assert calls == {"cm_point_q": 236, "b_coeff": 433}
-            keys = _state(level).value_cache
-            assert len(keys) == 236 and all(math.gcd(*form) == 1 for form, _ in keys)
-        finally:
-            reset_state()
+        assert len(memos) == 2 and memos[0] is not memos[1]
+        for memo in memos:
+            assert len(memo.values) == 236 and all(math.gcd(*form) == 1 for form, _ in memo.values)
 
     def test_imprimitive_class_reads_the_value_of_its_primitive_point(self, monkeypatch):
         # at p=2 every class of d = 92 = 4 * 23 evaluates at a form of content
         # 2; two of their primitive parts are CM points of t(23), so after t(23)
-        # the memoized t(92) evaluates only its other points, and its value is
-        # the memo=False one
+        # a memo's t(92) evaluates only its other points, and its value is
+        # the one without a memo
         forms = {d: set(traces_mod._weights(P2, d, enumerate_classes(P2, d))) for d in (23, 92)}
         assert len(forms[92] & forms[23]) == 2
         calls = []
         real = traces_mod.eta_hauptmodul
         monkeypatch.setattr(traces_mod, "eta_hauptmodul",
                             lambda *args: calls.append(args) or real(*args))
-        reset_state()
-        try:
-            trace(P2, 1, 23)
-            calls.clear()
-            memoized = trace(P2, 1, 92).value
-            assert len(calls) == len(forms[92]) - 2
-            assert memoized == trace(P2, 1, 92, memo=False).value
-        finally:
-            reset_state()
+        memo = TraceMemo(P2)
+        trace(P2, 1, 23, memo=memo)
+        calls.clear()
+        memoized = trace(P2, 1, 92, memo=memo).value
+        assert len(calls) == len(forms[92]) - 2
+        assert memoized == trace(P2, 1, 92).value
 
     def test_memoized_value_does_not_depend_on_the_call_order(self):
         # each memoized value is evaluated at its key's width, whichever plan
         # asked for it first, so t_1(79) sums the same values either way
-        reset_state()
-        try:
-            alone = trace(PrimeLevel(13), 1, 79).residual
-            reset_state()
-            trace(PrimeLevel(13), 15, 79)
-            assert trace(PrimeLevel(13), 1, 79).residual == alone
-        finally:
-            reset_state()
+        level = PrimeLevel(13)
+        alone = trace(level, 1, 79, memo=TraceMemo(level)).residual
+        memo = TraceMemo(level)
+        trace(level, 15, 79, memo=memo)
+        assert trace(level, 1, 79, memo=memo).residual == alone
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_memoized_and_unmemoized_traces_agree(self, p):
-        # memoized values are evaluated at the 64-bit bucket and shifted,
-        # memo=False ones at W itself; both certify the same integer
+        # memoized values are evaluated at the 64-bit bucket and shifted, the
+        # values of a call without a memo at W itself; both certify the same integer
         level = PrimeLevel(p)
-        reset_state()
-        try:
-            for D in (1, 3, 15):
-                for d in range(1, 101):
-                    if is_admissible(d, level):
-                        assert trace(level, D, d).value == trace(level, D, d, memo=False).value, (D, d)
-        finally:
-            reset_state()
+        memo = TraceMemo(level)
+        for D in (1, 3, 15):
+            for d in range(1, 101):
+                if is_admissible(d, level):
+                    assert trace(level, D, d, memo=memo).value == trace(level, D, d).value, (D, d)
 
     def test_each_distinct_form_evaluated_once(self, monkeypatch):
         calls = []
@@ -315,7 +333,7 @@ class TestTrace:
             (P2, 108, 8, 4, 3), (P3, 108, 10, 6, 5), (PrimeLevel(13), 399, 16, 16, 10),
         ):
             calls.clear()
-            rec = trace(level, 1, d, memo=False)
+            rec = trace(level, 1, d)
             summed = [c.eval_form for c in enumerate_classes(level, d) if c.beta <= level.p]
             assert (len(summed), len(set(summed))) == (n_classes, n_forms)
             assert len({(a, abs(b), c) for a, b, c in summed}) == n_evals
@@ -335,7 +353,7 @@ class TestTrace:
             if not is_admissible(d, level):
                 continue
             calls.clear()
-            trace(level, 1, d, memo=False)
+            trace(level, 1, d)
             summed = {(a, abs(b), c) for beta, _, _, (a, b, c), _ in enumerate_classes(level, d)
                       if beta <= p}
             assert len(calls) == len(summed), d
@@ -360,7 +378,7 @@ class TestTrace:
                                    match=f"D={D} is above the supported bound {MAX_DEGREE}"):
                     trace(P2, D, 7)
             assert _state(P2).haupt is None
-            assert trace(PrimeLevel(13), MAX_DEGREE, 3, memo=False).residual < 1e-6
+            assert trace(PrimeLevel(13), MAX_DEGREE, 3).residual < 1e-6
         finally:
             reset_state()
 
@@ -378,22 +396,18 @@ class TestTrace:
         level = PrimeLevel(p)
         ds = [d for d in range(1, 301) if is_admissible(d, level)]
         path = tmp_path / "c.jsonl"
-        reset_state()
-        try:
-            counts = {d: len(enumerate_classes(level, d)) for d in ds}
-            with TraceCache(path) as cache:
-                for d in ds:
-                    rec = trace(level, 1, d, cache=cache)
-                    assert not rec.cached and rec.class_count == counts[d], d
-                    assert trace(level, 1, d) is rec  # memo hit
-            reset_state()
-            cache = TraceCache(path)
+        counts = {d: len(enumerate_classes(level, d)) for d in ds}
+        memo = TraceMemo(level)
+        with TraceCache(path) as cache:
             for d in ds:
-                assert cache.get(p, 1, d).class_count is None
-                hit = trace(level, 1, d, cache=cache)
-                assert hit.cached and hit.class_count == counts[d], d
-        finally:
-            reset_state()
+                rec = trace(level, 1, d, cache=cache, memo=memo)
+                assert not rec.cached and rec.class_count == counts[d], d
+                assert trace(level, 1, d, memo=memo) is rec  # memo hit
+        cache = TraceCache(path)
+        for d in ds:
+            assert cache.get(p, 1, d).class_count is None
+            hit = trace(level, 1, d, cache=cache)
+            assert hit.cached and hit.class_count == counts[d], d
 
     def test_precision_override_respected(self):
         rec = trace(P2, 1, 7, ctx0=PrecisionContext(bits=640, terms=256))
@@ -410,7 +424,7 @@ class TestTrace:
 
         monkeypatch.setattr(traces_mod, "eta_hauptmodul", off_by_half)
         with pytest.raises(PrecisionFailure) as info:
-            trace(P2, 1, 4, memo=False)
+            trace(P2, 1, 4)
         ctx = plan_precision(P2, 4, enumerate_classes(P2, 4))
         attempts = info.value.attempts
         assert [a[:2] for a in attempts] == [
@@ -682,7 +696,7 @@ class TestVerifyCoeffIdentities:
         monkeypatch.setattr(traces_mod, "trace", lambda *args, **kw: pytest.fail("trace called"))
         ds = [d for d in range(1, 1001) if is_admissible(d, P2)]
         assert sum(ds) == 188375
-        with pytest.raises(ValueError, match=f"sum to 27126000, past the supported bound "
+        with pytest.raises(ValueError, match=f"sum to 27126000, above the supported bound "
                                              f"{MAX_COST} at d=608$"):
             verify_coeff_identities(P2, 3, [1, 4, 9, 16], ds)
         assert traces_mod.check_grid(3, 1, ds[:ds.index(608)], [1, 4, 9, 16]) <= MAX_COST
@@ -726,11 +740,13 @@ class TestVerifyRecurrence:
         # 9 * 1111111 is within MAX_DISC, but its traces have Faber degree 85:
         # charged 783 times a degree-1 trace there
         monkeypatch.setattr(traces_mod, "trace", lambda *args, **kw: pytest.fail("trace called"))
-        msg = (f"ell=3, n=1, d=1111111, D=7225: the charge .* = 7829999217 is above the "
-               f"supported bound {MAX_COST}")
-        with pytest.raises(ValueError, match=msg):
+        # it is refused as a grid of one check; in a grid with d = 4 the sum passes
+        # the bound at the same check
+        msg = (r"grid's checks \(ell=3, n=1\), times the cost of Faber degree sqrt\(D\), sum to "
+               f"{{}}, above the supported bound {MAX_COST} at d=1111111$")
+        with pytest.raises(ValueError, match=msg.format(7829999217)):
             verify_recurrence(P2, 3, 7225, 1111111, 1)
-        with pytest.raises(ValueError, match=msg):
+        with pytest.raises(ValueError, match=msg.format(9 * (1 + 783) * (4 + 1111111))):
             verify_coeff_identities(P2, 3, [1, 7225], [4, 1111111])
 
     def test_reach_past_the_bounds(self):
@@ -820,7 +836,7 @@ class TestTraceCache:
             cache.put(trace(P2, 1, 4))
         monkeypatch.setattr(os, "open", lambda *args: pytest.fail("opened for writing"))
         with TraceCache(path) as warm:
-            hit = trace(P2, 1, 4, cache=warm, memo=False)
+            hit = trace(P2, 1, 4, cache=warm)
             assert hit.cached
             warm.put(hit)
 
@@ -1076,41 +1092,34 @@ class TestTraceCache:
         assert report["ok"] and report["checked"] == 3
 
     def test_verify_ignores_a_poisoned_memo(self, tmp_path):
-        # a wrong value in the in-process memo and in the cache file: verify
+        # a wrong record in a memo reaches the cache file through trace(); verify
         # recomputes instead of reading the memo back, and reports it
-        rec = trace(P2, 1, 39)
-        bad = rec._replace(value=rec.value + 1)
-        _state(P2).trace_cache[(1, 39)] = bad
-        try:
-            with TraceCache(tmp_path / "c.jsonl") as cache:
-                cache.put(bad)
-            report = cache.verify()
-        finally:
-            reset_state()
+        memo = TraceMemo(P2)
+        rec = trace(P2, 1, 39, memo=memo)
+        bad = memo.records[(1, 39)] = rec._replace(value=rec.value + 1)
+        with TraceCache(tmp_path / "c.jsonl") as cache:
+            assert trace(P2, 1, 39, cache=cache, memo=memo) is bad
+        report = cache.verify()
         assert not report["ok"]
         assert report["mismatches"] == [
             {"p": 2, "D": 1, "d": 39, "cached": str(bad.value), "fresh": str(rec.value)}
         ]
 
     def test_verify_recomputes_poisoned_cm_values(self, tmp_path):
-        # a wrong CM value in the in-process memo makes trace() write a wrong
-        # record; verify shares no memo with trace(), so it reports it.  The
-        # poisoned key (2, 1, 3) carries the weight 12 of each of the forms
-        # (2, 1, 3) and (2, -1, 3), so adding 1 to Re j there moves t(23) by 24
-        reset_state()
-        try:
-            trace(P2, 1, 23)
-            st = _state(P2)
-            st.trace_cache.clear()
-            key = next(iter(st.value_cache))
-            assert key[0] == (2, 1, 3)
-            re, im = st.value_cache[key]
-            st.value_cache[key] = (re + (12 << key[1]), im)
-            with TraceCache(tmp_path / "c.jsonl") as cache:
-                assert trace(P2, 1, 23, cache=cache).value == -70
-            report = cache.verify()
-        finally:
-            reset_state()
+        # a wrong CM value in a memo makes trace() write a wrong record; verify
+        # shares no memo with trace(), so it reports it.  The poisoned key
+        # (2, 1, 3) carries the weight 12 of each of the forms (2, 1, 3) and
+        # (2, -1, 3), so adding 1 to Re j there moves t(23) by 24
+        memo = TraceMemo(P2)
+        trace(P2, 1, 23, memo=memo)
+        memo.records.clear()
+        key = next(iter(memo.values))
+        assert key[0] == (2, 1, 3)
+        re, im = memo.values[key]
+        memo.values[key] = (re + (12 << key[1]), im)
+        with TraceCache(tmp_path / "c.jsonl") as cache:
+            assert trace(P2, 1, 23, cache=cache, memo=memo).value == -70
+        report = cache.verify()
         assert report["mismatches"] == [
             {"p": 2, "D": 1, "d": 23, "cached": "-70", "fresh": "-94"}
         ]
@@ -1118,16 +1127,17 @@ class TestTraceCache:
     def test_trace_uses_cache(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with TraceCache(path) as cache:
-            first = trace(P2, 1, 79, cache=cache, memo=False)
+            first = trace(P2, 1, 79, cache=cache)
         assert first.cached is False
-        again = trace(P2, 1, 79, cache=TraceCache(path), memo=False)
+        again = trace(P2, 1, 79, cache=TraceCache(path))
         assert again.cached is True and again.value == first.value
 
     def test_memo_hit_is_written_to_the_cache(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        first = trace(P2, 1, 4)
+        memo = TraceMemo(P2)
+        first = trace(P2, 1, 4, memo=memo)
         with TraceCache(path) as cache:
-            again = trace(P2, 1, 4, cache=cache)
+            again = trace(P2, 1, 4, cache=cache, memo=memo)
         assert again is first
         assert TraceCache(path).get(2, 1, 4).value == first.value
         assert len(path.read_text().splitlines()) == 1
@@ -1136,7 +1146,6 @@ class TestTraceCache:
         path = tmp_path / "c.jsonl"
         with TraceCache(path) as cache:
             cache.put(trace(P2, 1, 4))
-        reset_state()
         cache = TraceCache(path)
         monkeypatch.setattr(cache, "put", lambda rec: pytest.fail("put of a cache hit"))
         assert trace(P2, 1, 4, cache=cache).cached is True
