@@ -24,6 +24,7 @@ from .qforms import enumerate_classes
 from .traces import (
     CacheIntegrityError,
     TraceCache,
+    TraceMemo,
     check_ell,
     check_grid,
     check_reach,
@@ -175,6 +176,7 @@ def cmd_verify(args) -> int:
     level = PrimeLevel(args.p)
     ell = args.ell
     check_ell(level, ell)
+    memo = TraceMemo(level)  # the checks at d and ell^2 d of a grid share traces
     if args.kind == "coeff-identities":
         # D runs over the squares m^2 <= Dmax; with no D or no d there is no check
         m_max = math.isqrt(max(args.Dmax, 0))
@@ -186,12 +188,12 @@ def cmd_verify(args) -> int:
     elif args.kind == "congruence":
         ds = [args.d] if args.d is not None else _grid(
             args, level, args.n, 1, (1,), lambda d: splits(ell, d))
-        reports = [verify_congruence(level, ell, d, args.n) for d in ds]
+        reports = [verify_congruence(level, ell, d, args.n, memo) for d in ds]
     else:
         check_square(args.D)
         ds = [args.d] if args.d is not None else _grid(args, level, args.n, args.D,
                                                        (math.isqrt(args.D),))
-        reports = [verify_recurrence(level, ell, args.D, d, args.n) for d in ds]
+        reports = [verify_recurrence(level, ell, args.D, d, args.n, memo) for d in ds]
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}
     _emit(obj, args.format, out=args.out)

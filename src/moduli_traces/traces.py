@@ -152,9 +152,10 @@ class TraceMemo:
     trace() without a memo makes one with bucket 1, evaluated at W itself.
     Classes are keyed by d alone, so trace() refuses a memo of another level."""
 
-    def __init__(self, p, bucket: int = 64):
+    bucket = 64
+
+    def __init__(self, p):
         self.level = _as_level(p)
-        self.bucket = bucket
         self.classes: dict[int, list[HeegnerClass]] = {}
         self.weights: dict[int, dict[tuple[int, int, int], int]] = {}
         self.values: dict[tuple, Fixed] = {}
@@ -286,7 +287,9 @@ def trace(
         raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
     if ctx0 is not None or method != "gkz":
         memo, cache = None, None
-    memo = memo or TraceMemo(level, bucket=1)
+    if not memo:
+        memo = TraceMemo(level)
+        memo.bucket = 1
     rec = memo.records.get((D, d))
     if rec is None and cache is not None:
         hit = cache.get(level.p, D, d)
@@ -527,14 +530,14 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     return {"kind": "coeff-identities", "p": level.p, "ell": ell, "ok": ok, "checks": checks}
 
 
-def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
+def verify_recurrence(p, ell: int, D: int, d: int, n: int, memo: TraceMemo | None = None) -> dict:
     """Check the n-step coefficient recurrence for B(D, ell^{2n} d) term by term.
 
     For n = 1 the formula specializes exactly to the single-step identity
     (asserted by comparing both expression forms); for n = 2 it is also
     cross-checked against two iterated single-step applications.  The check
     is charged as a grid of one (`check_grid`) before any trace, and its traces
-    share one `TraceMemo`, so each B(D, d) the two sides share is computed once.
+    share `memo` (a grid's calls pass one), so each B(D, d) is computed once.
     """
     level = _as_level(p)
     check_ell(level, ell)
@@ -546,7 +549,7 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     check_reach(ell, n, d, D)
     check_grid(ell, n, [d], [D])
     ell2 = ell * ell
-    B = TraceMemo(level).b
+    B = (memo or TraceMemo(level)).b
     kD = kronecker(D, ell)
     kd = kronecker(-d, ell)
 
@@ -580,13 +583,13 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int) -> dict:
     return report
 
 
-def verify_congruence(p, ell: int, d: int, n: int) -> dict:
+def verify_congruence(p, ell: int, d: int, n: int, memo: TraceMemo | None = None) -> dict:
     """Check ell^n | t^{(p)}(ell^{2n} d) under the splitting hypothesis.
 
     The hypothesis implies that ell does not divide d, so the stronger exact
     identity t^{(p)}(ell^{2n} d) = -ell^n B(ell^{2n}, d) is checked as well.
     The check is charged as a grid of one (`check_grid`) before any trace, and
-    its traces share one `TraceMemo`.
+    its traces share `memo` (a grid's calls pass one).
     """
     level = _as_level(p)
     check_ell(level, ell)
@@ -598,7 +601,7 @@ def verify_congruence(p, ell: int, d: int, n: int) -> dict:
         raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
     check_reach(ell, n, d)
     check_grid(ell, n, [d], [1])
-    memo = TraceMemo(level)
+    memo = memo or TraceMemo(level)
     big = trace(level, 1, ell ** (2 * n) * d, memo=memo)
     cong_ok = big.value % ell**n == 0
     lift = -b_coeff(level, ell ** (2 * n), d, memo)

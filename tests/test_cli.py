@@ -171,6 +171,25 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, evaluations, computed", [
+        ("congruence --p 2 --ell 3 --dmax 400", 878, 147),
+        ("recurrence --p 5 --ell 3 --D 9 --dmax 300", 1802, 434),
+    ])
+    def test_grid_checks_share_one_memo(self, tmp_path, capsys, monkeypatch,
+                                        argv, evaluations, computed):
+        # the checks at d and 9d read traces and CM points in common, so a
+        # verify grid passes its checks one memo: with a memo per check these
+        # grids took 917 and 1979 evaluations, and the recurrence 466 traces
+        calls = []
+        for name in ("cm_point_q", "_class_sum"):
+            real = getattr(traces, name)
+            monkeypatch.setattr(traces, name, lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        code, out, _ = run(capsys, "verify", *argv.split(), "--format", "json",
+                           "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 0 and json.loads(out)["ok"]
+        assert (calls.count("cm_point_q"), calls.count("_class_sum")) == (evaluations, computed)
+
     def test_even_ell_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "congruence", "--p", "2", "--ell", "2",
                            "--dmax", "20", "--cache", str(tmp_path / "c.jsonl"))
