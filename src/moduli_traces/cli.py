@@ -22,9 +22,11 @@ from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
 from .qforms import enumerate_classes
 from .traces import (
+    MAX_COST,
     CacheIntegrityError,
     TraceCache,
     TraceMemo,
+    TraceRecord,
     check_ell,
     check_grid,
     check_reach,
@@ -131,22 +133,110 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+def _table_ds(args, level: PrimeLevel) -> list[int]:
+    """The admissible d <= --dmax, ascending.  A table is charged as a grid of
+    degree-1 traces, the sum of its d, and refused past traces.MAX_COST at the
+    first d that passes it, so the scan stops there whatever --dmax is."""
+    ds, total = [], 0
+    for d in range(1, args.dmax + 1):
+        if is_admissible(d, level):
+            total += d
+            if total > MAX_COST:
+                raise ValueError(f"trace-table --p {args.p} --dmax {args.dmax}: the sum of the "
+                                 f"table's d passes the supported bound {MAX_COST} at d={d}")
+            ds.append(d)
+    return ds
+
+
+def _helper_ds(level: PrimeLevel, ds: list[int], cache: TraceCache) -> list[int]:
+    """The rows a helper process computes: each row missing from the cache
+    whose smaller missing rows already sum, in sqrt(d), to half of the total,
+    a row's cost growing about as sqrt(d).  No rows without os.fork or a
+    second CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        return []
+    missing = [d for d in ds if cache.get(level.p, 1, d) is None]
+    half, below = sum(map(math.sqrt, missing)) / 2, 0.0
+    for i, d in enumerate(missing):
+        if below >= half:
+            return missing[i:]
+        below += math.sqrt(d)
+    return []
+
+
+class _Helper:
+    """A forked process that computes trace(level, 1, d) for each of `ds`, in
+    ascending order, and sends each record back as one line of text.  It never
+    opens the cache.  A row it does not deliver is computed by the caller."""
+
+    def __init__(self, level: PrimeLevel, ds: list[int]):
+        self.ds = set(ds)
+        self.memo = TraceMemo(level)
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            try:  # whatever happens, leave without unwinding the CLI
+                os.close(r)
+                out = os.fdopen(w, "w", buffering=1)
+                for d in ds:
+                    rec = trace(level, 1, d)
+                    out.write(f"{d} {rec.value} {rec.bits} {rec.terms} {rec.class_count} "
+                              f"{rec.residual!r}\n")
+            finally:
+                os._exit(0)
+        os.close(w)
+        self.lines = os.fdopen(r)
+
+    def memo_for(self, d: int) -> TraceMemo | None:
+        """A memo holding the record of d if the helper delivered it, else None.
+        The lines come in the order of `ds`, so d must be its next row."""
+        if d not in self.ds or self.lines.closed:
+            return None
+        line = self.lines.readline()
+        fields = line.split()
+        if not line.endswith("\n") or int(fields[0]) != d:
+            self.lines.close()  # the helper failed or died: the rest is computed here
+            return None
+        value, bits, terms, count = map(int, fields[1:5])
+        self.memo.records[(1, d)] = TraceRecord(self.memo.level.p, 1, d, value, bits, terms,
+                                                "gkz", count, float(fields[5]))
+        return self.memo
+
+    def close(self):
+        self.lines.close()  # a helper still running fails at its next line and exits
+        os.waitpid(self.pid, 0)
+
+
 def cmd_trace_table(args) -> int:
     level = PrimeLevel(args.p)
+    ds = _table_ds(args, level)
     rows = []
     with TraceCache(args.cache) as cache:
-        for d in range(1, args.dmax + 1):
-            if not is_admissible(d, level):
-                continue
-            rec = trace(level, 1, d, cache=cache)
-            rows.append(
-                {
-                    "d": d,
-                    "beta_count": len(sqrt_classes(d, level)),
-                    "class_count": rec.class_count,
-                    "trace": str(rec.value),
-                }
-            )
+        upper = _helper_ds(level, ds, cache)
+        try:
+            helper = _Helper(level, upper) if upper else None
+        except OSError:  # no pipe or process to spare: this process computes every row
+            helper = None
+        try:
+            for d in ds:
+                rec = trace(level, 1, d, cache=cache, memo=helper and helper.memo_for(d))
+                rows.append(
+                    {
+                        "d": d,
+                        "beta_count": len(sqrt_classes(d, level)),
+                        "class_count": rec.class_count,
+                        "trace": str(rec.value),
+                    }
+                )
+        finally:
+            if helper:
+                helper.close()
     obj = {"p": level.p, "dmax": args.dmax, "rows": rows}
     _emit(obj, args.format, rows=rows, out=args.out, fieldnames=["d", "beta_count", "class_count", "trace"])
     return EXIT_OK

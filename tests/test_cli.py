@@ -15,7 +15,7 @@ import pytest
 
 from moduli_traces import cli, qforms, traces
 from moduli_traces.arith import PrimeLevel, is_admissible, splits
-from moduli_traces.cm_eval import fixed_width
+from moduli_traces.cm_eval import PrecisionFailure, fixed_width
 from moduli_traces.hauptmodul import MAX_ORDER
 
 
@@ -23,6 +23,35 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cpus(monkeypatch, n):
+    """Let the CLI see n CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _forks(monkeypatch) -> list[int]:
+    """The list that collects the pid of each process forked from here on."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _log(path, value):
+    """Append value as one line; each line is one write, so two processes can share path."""
+    with open(path, "a") as fh:
+        fh.write(f"{value}\n")
+
+
+def _logged(path) -> list[int]:
+    return sorted(map(int, path.read_text().split())) if path.exists() else []
 
 
 class TestHauptmodul:
@@ -335,37 +364,59 @@ class TestTraceTable:
     def test_enumerates_each_row_once(self, tmp_path, capsys, monkeypatch):
         # class_count comes from the trace record: a cold row builds its class
         # labels once, inside trace(), and a warm row walks the reduced forms
-        # once, for the count
-        calls, reps = [], []
+        # once, for the count.  The counters append to files, and a forked
+        # helper inherits them with the monkeypatch, so the files see the
+        # calls of both processes
+        calls, reps = tmp_path / "calls", tmp_path / "reps"
         real, real_reps = traces.enumerate_classes, qforms._reduced_triples
 
         def counted(level, d, method="gkz"):
-            calls.append(d)
+            _log(calls, d)
             return real(level, d, method)
 
         def counted_reps(d):
-            reps.append(d)
+            _log(reps, d)
             return real_reps(d)
 
         monkeypatch.setattr(traces, "enumerate_classes", counted)
         monkeypatch.setattr(qforms, "_reduced_triples", counted_reps)
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, 2)
         cold, warm = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
         code, out_cold, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
                                 "--cache", str(cold))
-        assert code == 0
+        assert code == 0 and len(forks) == 1
         rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
-        assert calls == rows and reps == rows
+        assert _logged(calls) == rows and _logged(reps) == rows
         st = traces._state(PrimeLevel(2))
         assert set(vars(st)) == {"level", "haupt", "polys"}  # no memo outlives a row
 
         warm.write_bytes(cold.read_bytes())
         warm.chmod(0o444)  # as in the benchmark; a superuser can still write, so compare bytes
-        calls.clear()
-        reps.clear()
+        calls.unlink()
+        reps.unlink()
         code, out_warm, _ = run(capsys, "trace-table", "--p", "2", "--dmax", "40",
                                 "--cache", str(warm))
-        assert code == 0 and out_warm == out_cold and calls == [] and reps == rows
+        assert code == 0 and out_warm == out_cold and len(forks) == 1
+        assert _logged(calls) == [] and _logged(reps) == rows
         assert warm.read_bytes() == cold.read_bytes()
+
+    @pytest.mark.parametrize("p, first", [(2, 7303), (3, 7748), (5, 8164), (7, 8368), (13, 8620)])
+    def test_table_past_the_cost_bound_exits_2_at_once(self, tmp_path, capsys, p, first):
+        # a table is charged the sum of its d, and refused at the first d past
+        # traces.MAX_COST, so even --dmax 10^30 stops scanning there
+        level = PrimeLevel(p)
+        assert sum(d for d in range(1, first) if is_admissible(d, level)) <= traces.MAX_COST
+        assert is_admissible(first, level)
+        assert sum(d for d in range(1, first + 1) if is_admissible(d, level)) > traces.MAX_COST
+        cache = tmp_path / "c.jsonl"
+        for dmax in (10**10, 10**30):
+            code, out, err = run(capsys, "trace-table", "--p", str(p), "--dmax", str(dmax),
+                                 "--cache", str(cache))
+            assert (code, out) == (2, "") and not cache.exists()
+            assert json.loads(err) == {"error": (
+                f"trace-table --p {p} --dmax {dmax}: the sum of the table's d passes the "
+                f"supported bound {traces.MAX_COST} at d={first}")}
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["default", "csv"])
     def test_empty_table_prints_the_header(self, tmp_path, capsys, fmt):
@@ -377,6 +428,116 @@ class TestTraceTable:
         assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
         assert out_file.read_bytes() == header.encode()
         assert not (tmp_path / "c.jsonl").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper process needs os.fork")
+class TestTableHelper:
+    """A cold table's upper rows come from one forked helper process."""
+
+    def table(self, capsys, tmp_path, name, p, dmax):
+        """Run a cold table into fresh files; return its exit code, stderr, CSV and cache bytes."""
+        csv_out, cache = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        code, out, err = run(capsys, "trace-table", "--p", str(p), "--dmax", str(dmax),
+                             "--cache", str(cache), "--out", str(csv_out))
+        assert out == ""
+        with pytest.raises(ChildProcessError):  # no helper outlives the command
+            os.waitpid(-1, os.WNOHANG)
+        return code, err, *(f.read_bytes() if f.exists() else b"" for f in (csv_out, cache))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_same_bytes_with_one_cpu_and_with_a_helper(self, tmp_path, capsys, monkeypatch, p):
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, 1)
+        alone = self.table(capsys, tmp_path, "alone", p, 400)
+        assert forks == []
+        _cpus(monkeypatch, 2)
+        split = self.table(capsys, tmp_path, "split", p, 400)
+        assert len(forks) == 1 and split == alone and alone[0] == 0 and alone[3]
+
+    def test_the_cli_process_computes_the_rows_below_the_cut(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # at p=2, dmax 1240 sqrt(d) over the rows below d = 784 first reaches half
+        # of its sum over all 465 rows: this process enumerates those 293 rows
+        calls, real = [], traces.enumerate_classes
+
+        def counted(level, d, method="gkz"):
+            calls.append(d)  # this process's list only: the helper's copy is its own
+            return real(level, d, method)
+
+        monkeypatch.setattr(traces, "enumerate_classes", counted)
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        code, _, csv_bytes, _ = self.table(capsys, tmp_path, "t", 2, 1240)
+        ds = [d for d in range(1, 1241) if is_admissible(d, PrimeLevel(2))]
+        assert code == 0 and len(forks) == 1 and len(ds) == 465 and ds[293] == 784
+        assert calls == ds[:293]
+        assert [int(r["d"]) for r in csv.DictReader(io.StringIO(csv_bytes.decode()))] == ds
+
+    def test_a_failing_helper_row_exits_3_as_with_one_cpu(self, tmp_path, capsys, monkeypatch):
+        ds = [d for d in range(1, 401) if is_admissible(d, PrimeLevel(2))]
+        bad, parent, pids, real = ds[-5], os.getpid(), tmp_path / "pids", cli.trace
+
+        def failing(level, D, d, **kwargs):
+            if d == bad:
+                _log(pids, os.getpid())
+                raise PrecisionFailure(f"t_{D}({d}) at p=2: no integer within the test's tolerance")
+            return real(level, D, d, **kwargs)
+
+        monkeypatch.setattr(cli, "trace", failing)
+        _cpus(monkeypatch, 1)
+        alone = self.table(capsys, tmp_path, "alone", 2, 400)
+        assert _logged(pids) == [parent]
+        _cpus(monkeypatch, 2)
+        split = self.table(capsys, tmp_path, "split", 2, 400)
+        helper = set(_logged(pids)) - {parent}
+        assert len(helper) == 1 and split == alone  # the helper failed first, then this process
+        code, err, _, cache = split
+        assert code == 3 and json.loads(err) == {
+            "error": f"t_1({bad}) at p=2: no integer within the test's tolerance"}
+        assert [json.loads(line)["d"] for line in cache.splitlines()] == [d for d in ds if d < bad]
+
+    def test_a_dying_helper_leaves_the_rest_to_the_cli_process(self, tmp_path, capsys,
+                                                              monkeypatch):
+        ds = [d for d in range(1, 401) if is_admissible(d, PrimeLevel(2))]
+        dies, parent, pids, real = ds[-20], os.getpid(), tmp_path / "pids", cli.trace
+
+        def dying(level, D, d, **kwargs):
+            if d == dies and os.getpid() != parent:
+                _log(pids, os.getpid())
+                os._exit(1)
+            return real(level, D, d, **kwargs)
+
+        monkeypatch.setattr(cli, "trace", dying)
+        _cpus(monkeypatch, 1)
+        alone = self.table(capsys, tmp_path, "alone", 2, 400)
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        split = self.table(capsys, tmp_path, "split", 2, 400)
+        assert _logged(pids) == forks and split == alone and alone[0] == 0
+
+    def test_a_failing_fork_leaves_every_row_to_the_cli_process(self, tmp_path, capsys,
+                                                                monkeypatch):
+        _cpus(monkeypatch, 1)
+        alone = self.table(capsys, tmp_path, "alone", 2, 400)
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        _cpus(monkeypatch, 2)
+        assert self.table(capsys, tmp_path, "split", 2, 400) == alone
+
+    def test_a_warm_table_forks_nothing(self, tmp_path, capsys, monkeypatch):
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, 2)
+        cold = self.table(capsys, tmp_path, "t", 2, 400)
+        assert len(forks) == 1
+
+        def no_fork():
+            raise AssertionError("a warm table forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.table(capsys, tmp_path, "t", 2, 400) == cold
 
 
 class TestCacheCommand:
