@@ -22,15 +22,11 @@ from .cm_eval import PrecisionFailure
 from .hauptmodul import build_hauptmodul
 from .qforms import enumerate_classes
 from .traces import (
-    MAX_COST,
     CacheIntegrityError,
     TraceCache,
     TraceMemo,
     TraceRecord,
-    check_ell,
-    check_grid,
-    check_reach,
-    check_square,
+    admit,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -133,21 +129,6 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _table_ds(args, level: PrimeLevel) -> list[int]:
-    """The admissible d <= --dmax, ascending.  A table is charged as a grid of
-    degree-1 traces, the sum of its d, and refused past traces.MAX_COST at the
-    first d that passes it, so the scan stops there whatever --dmax is."""
-    ds, total = [], 0
-    for d in range(1, args.dmax + 1):
-        if is_admissible(d, level):
-            total += d
-            if total > MAX_COST:
-                raise ValueError(f"trace-table --p {args.p} --dmax {args.dmax}: the sum of the "
-                                 f"table's d passes the supported bound {MAX_COST} at d={d}")
-            ds.append(d)
-    return ds
-
-
 def _helper_ds(level: PrimeLevel, ds: list[int], cache: TraceCache) -> list[int]:
     """The rows a helper process computes: each row missing from the cache
     whose smaller missing rows already sum, in sqrt(d), to half of the total,
@@ -215,7 +196,8 @@ class _Helper:
 
 def cmd_trace_table(args) -> int:
     level = PrimeLevel(args.p)
-    ds = _table_ds(args, level)
+    # a row at d is a degree-1 trace, charged d: admit stops at the first d past the bound
+    ds = admit((d for d in range(1, args.dmax + 1) if is_admissible(d, level)), lambda d: d)[0]
     rows = []
     with TraceCache(args.cache) as cache:
         upper = _helper_ds(level, ds, cache)
@@ -242,48 +224,21 @@ def cmd_trace_table(args) -> int:
     return EXIT_OK
 
 
-def _grid(args, level: PrimeLevel, n: int, D: int, degrees, keep=lambda d: True) -> list[int]:
-    """The admissible d <= --dmax that keep accepts, ascending.  check_reach
-    first checks the largest of them at (n, D), found by a downward scan from
-    --dmax, so a grid past a bound is refused before it is built.  Then
-    traces.check_grid refuses the grid if its checks, one per d and sqrt(D) in
-    `degrees`, are charged past traces.MAX_COST; `degrees` is read only after
-    check_reach has bounded D."""
-    top = next((d for d in range(args.dmax, 0, -1) if is_admissible(d, level) and keep(d)), None)
-    if top is None:
-        return []
-    check_reach(args.ell, n, top, D)
-    grid = [d for d in range(1, top + 1) if is_admissible(d, level) and keep(d)]
-    try:
-        check_grid(args.ell, n, grid, [m * m for m in degrees])
-    except ValueError as exc:
-        raise ValueError(f"verify {args.kind} --p {args.p} --ell {args.ell} --dmax {args.dmax}: "
-                         f"{exc}") from None
-    return grid
-
-
 def cmd_verify(args) -> int:
     level = PrimeLevel(args.p)
     ell = args.ell
-    check_ell(level, ell)
-    memo = TraceMemo(level)  # the checks at d and ell^2 d of a grid share traces
+    # the admissible d <= --dmax, and the squares D <= --Dmax, read lazily: the
+    # verifier checks its inputs and refuses at the first d or D past a bound
+    grid = (d for d in range(1, args.dmax + 1) if is_admissible(d, level)
+            and (args.kind != "congruence" or splits(ell, d)))
     if args.kind == "coeff-identities":
-        # D runs over the squares m^2 <= Dmax; with no D or no d there is no check
-        m_max = math.isqrt(max(args.Dmax, 0))
-        grid = _grid(args, level, 1, m_max * m_max, range(1, m_max + 1)) if m_max else []
-        D_list = [m * m for m in range(1, m_max + 1)] if grid else []
-        reports = [verify_coeff_identities(level, ell, D_list, grid)]
-    elif args.n < 1:
-        return _fail(f"n must be >= 1, got {args.n}", EXIT_BAD_INPUT)
+        Ds = (m * m for m in range(1, math.isqrt(max(args.Dmax, 0)) + 1))
+        reports = [verify_coeff_identities(level, ell, Ds, grid)]
     elif args.kind == "congruence":
-        ds = [args.d] if args.d is not None else _grid(
-            args, level, args.n, 1, (1,), lambda d: splits(ell, d))
-        reports = [verify_congruence(level, ell, d, args.n, memo) for d in ds]
+        reports = verify_congruence(level, ell, grid if args.d is None else [args.d], args.n)
     else:
-        check_square(args.D)
-        ds = [args.d] if args.d is not None else _grid(args, level, args.n, args.D,
-                                                       (math.isqrt(args.D),))
-        reports = [verify_recurrence(level, ell, args.D, d, args.n, memo) for d in ds]
+        reports = verify_recurrence(level, ell, args.D, grid if args.d is None else [args.d],
+                                    args.n)
     ok = all(r["ok"] for r in reports)
     obj = {"kind": args.kind, "ok": ok, "reports": reports}
     _emit(obj, args.format, out=args.out)

@@ -202,7 +202,7 @@ def optimize_height(F: tuple[int, int, int], p: PrimeLevel) -> tuple[int, int, i
     Gamma_0(p)-class, but not always the least of the Gamma_0(p)*-orbit: the
     Fricke image's Gamma_0(p)-minimum can have a smaller a although p c >= a.
     That happens in 80, 202 and 889 classes at p = 5, 7 and 13 (ROADMAP, open
-    item 3).  ValueError unless p | a.
+    item 9).  ValueError unless p | a.
     """
     pp = p.p
     a, b, c = F

@@ -62,8 +62,11 @@ from .qseries import WindowError
 # 512 on a 2-vCPU host, the time growing faster than D^3 (see README)
 MAX_DEGREE = 256
 
-# the largest charge of a request (README): d degree_cost(D) for a trace (at
-# D = 1 this is qforms.MAX_DISC), check_reach's for a verify check, their sum for a grid
+# the largest charge of a request (README): d degree_cost(D) for a trace, d
+# check_reach(ell, n, D) for a verify check, and the sum over its rows or checks,
+# which `admit` alone takes, for a table or grid.  MAX_COST <= qforms.MAX_DISC and
+# a check's discriminant ell^(2n) d is at most its charge, so no admitted check
+# reaches past the discriminant bound.
 MAX_COST = 10**7
 
 
@@ -424,43 +427,51 @@ def check_square(D: int) -> int:
     return m
 
 
-def check_reach(ell: int, n: int, d: int, D: int = 1) -> int:
-    """Raise ValueError unless the discriminant ell^(2n) d stays within
-    qforms.MAX_DISC and the Faber degree ell^n sqrt(D) within MAX_DEGREE: the
-    largest a verifier reaches.  The discriminant grows a factor of ell^2 at a
-    time, so a large n stops within 8 steps (ell >= 3, d >= 1) and never builds
-    ell^(2n); past that check ell^n is below sqrt(MAX_DISC).  Return the check's
-    charge ell^(2n) d degree_cost(sqrt(D)), at least that of each of its traces."""
-    disc = d
+def check_reach(ell: int, n: int, D: int = 1) -> int:
+    """The charge per unit of d of a check at (n, D): ell^(2n) degree_cost(m)
+    for D = m^2, at least that of each trace the check reads.  Raise ValueError
+    unless n >= 1, D is a positive perfect square, ell^(2n) is within
+    qforms.MAX_DISC and the Faber degree ell^n m within MAX_DEGREE.  ell^(2n)
+    grows a factor of ell^2 at a time, so a large n stops within 8 steps
+    (ell >= 3) and never builds it; past that check ell^n is below
+    sqrt(MAX_DISC)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    m = check_square(D)
+    unit = 1
     for _ in range(n):
-        disc *= ell * ell
-        if disc > MAX_DISC:
-            raise ValueError(f"ell={ell}, n={n}, d={d}: ell^(2n) d is above the "
-                             f"supported bound {MAX_DISC}")
-    if ell**n * math.isqrt(D) > MAX_DEGREE:
+        unit *= ell * ell
+        if unit > MAX_DISC:
+            raise ValueError(f"ell={ell}, n={n}: ell^(2n) is above the supported bound {MAX_DISC}")
+    if ell**n * m > MAX_DEGREE:
         raise ValueError(f"ell={ell}, n={n}, D={D}: the Faber degree ell^n sqrt(D) "
                          f"is above the supported bound {MAX_DEGREE}")
-    return disc * degree_cost(math.isqrt(D))
+    return unit * degree_cost(m)
 
 
-def check_grid(ell: int, n: int, ds: list[int], Ds: list[int]) -> int:
-    """Return the charge of a verify grid, one check at (n, D, d) for each D in
-    Ds and d in ds; raise ValueError if it is above MAX_COST.  A check's charge
-    check_reach(ell, n, d, D) is d times its charge at d = 1, so the grid's is
-    summed over ds, in their order, and the message names the first d at which
-    the sum passes the bound.  The caller checks the reach of the largest
-    check first: this checks it only at d = 1."""
-    unit = sum(check_reach(ell, n, 1, D) for D in Ds)
-    total, first = 0, None
-    for d in ds:
-        total += unit * d
-        if first is None and total > MAX_COST:
-            first = d
-    if first is not None:
-        raise ValueError(f"the discriminants ell^(2n) d of the grid's checks (ell={ell}, n={n}), "
-                         f"times the cost of Faber degree sqrt(D), sum to {total}, above the "
-                         f"supported bound {MAX_COST} at d={first}")
-    return total
+def admit(items, charge, name: str = "d") -> tuple[list[int], int]:
+    """The items, read in order, and the sum of their charges: the one place a
+    charge is summed.  charge(item) checks the item and returns its charge; the
+    first item at which the sum passes MAX_COST raises ValueError, and no item
+    after it is read, so an unbounded ascending iterable of d stops there.  A
+    table or verifier admits all of its d this way before its first trace."""
+    admitted, total = [], 0
+    for x in items:
+        total += charge(x)
+        if total > MAX_COST:
+            raise ValueError(f"the request is charged {total} up to {name}={x}, above the "
+                             f"supported bound {MAX_COST}")
+        admitted.append(x)
+    return admitted, total
+
+
+def _admit_ds(level: PrimeLevel, ds, unit: int) -> list[int]:
+    """The admissible ds of a grid whose checks are charged `unit` per unit of d."""
+    def charge(d):
+        if not is_admissible(d, level):
+            raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
+        return unit * d
+    return admit(ds, charge)[0]
 
 
 def _div_exact(n: int, m: int) -> int | None:
@@ -479,30 +490,28 @@ def _closed_and_step(B, ell: int, D: int, d: int) -> tuple[int, int]:
     return closed, step
 
 
-def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -> dict:
-    """Check B_ell(D,d) both ways, plus the index-raising step identity.
+def verify_coeff_identities(p, ell: int, D_list, d_list) -> dict:
+    """Check B_ell(D,d) both ways, plus the index-raising step identity, at
+    each D of D_list and d of d_list, two iterables read once each.
 
     Route (i) applies the weight-3/2 Hecke operator to the B-coefficient
     table and reads the q^d coefficient; route (ii) is the closed form
     ell B(ell^2 D, d) + (D/ell) B(D, d) + B(D/ell^2, d).  Their equality
     certifies the duality A_ell = -B_ell with A := -B.  A failure means
     "identification or implementation failure" and is reported, not raised.
-    The reach of the largest check, then the charge of the whole grid
-    (`check_grid`), are checked before any trace.  The call's traces share one
+    Every D, then every d, is checked and the grid charged (`admit`) before
+    any trace; with no D no d is read.  The call's traces share one
     `TraceMemo`, so each B(D, d) is computed once per call.
     """
     level = _as_level(p)
     check_ell(level, ell)
-    if D_list and d_list:
-        check_reach(ell, 1, max(d_list), max(D_list))
-        check_grid(ell, 1, d_list, D_list)
+    D_list, unit = admit(D_list, lambda D: check_reach(ell, 1, D), "D")
+    d_list = _admit_ds(level, d_list, unit) if D_list else []
     ell2 = ell * ell
     B = TraceMemo(level).b
     checks = []
     for D in D_list:
         for d in d_list:
-            if not is_admissible(d, level):
-                raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
             # route (i): Hecke action on the coefficient table, read at q^d
             idx = {d, ell2 * d}
             down = _div_exact(d, ell2)
@@ -530,26 +539,25 @@ def verify_coeff_identities(p, ell: int, D_list: list[int], d_list: list[int]) -
     return {"kind": "coeff-identities", "p": level.p, "ell": ell, "ok": ok, "checks": checks}
 
 
-def verify_recurrence(p, ell: int, D: int, d: int, n: int, memo: TraceMemo | None = None) -> dict:
-    """Check the n-step coefficient recurrence for B(D, ell^{2n} d) term by term.
+def verify_recurrence(p, ell: int, D: int, ds, n: int) -> list[dict]:
+    """Check the n-step coefficient recurrence for B(D, ell^{2n} d) term by
+    term at each d of the iterable ds, one report per d.
 
     For n = 1 the formula specializes exactly to the single-step identity
     (asserted by comparing both expression forms); for n = 2 it is also
-    cross-checked against two iterated single-step applications.  The check
-    is charged as a grid of one (`check_grid`) before any trace, and its traces
-    share `memo` (a grid's calls pass one), so each B(D, d) is computed once.
+    cross-checked against two iterated single-step applications.  Every d is
+    checked and the grid charged (`admit`) before any trace, and the call's
+    traces share one `TraceMemo`, so each B(D, d) is computed once.
     """
     level = _as_level(p)
     check_ell(level, ell)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_admissible(d, level):
-        raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
-    check_square(D)
-    check_reach(ell, n, d, D)
-    check_grid(ell, n, [d], [D])
+    ds = _admit_ds(level, ds, check_reach(ell, n, D))
+    B = TraceMemo(level).b
+    return [_recurrence(B, level, ell, D, d, n) for d in ds]
+
+
+def _recurrence(B, level: PrimeLevel, ell: int, D: int, d: int, n: int) -> dict:
     ell2 = ell * ell
-    B = (memo or TraceMemo(level)).b
     kD = kronecker(D, ell)
     kd = kronecker(-d, ell)
 
@@ -583,25 +591,32 @@ def verify_recurrence(p, ell: int, D: int, d: int, n: int, memo: TraceMemo | Non
     return report
 
 
-def verify_congruence(p, ell: int, d: int, n: int, memo: TraceMemo | None = None) -> dict:
-    """Check ell^n | t^{(p)}(ell^{2n} d) under the splitting hypothesis.
+def verify_congruence(p, ell: int, ds, n: int) -> list[dict]:
+    """Check ell^n | t^{(p)}(ell^{2n} d) under the splitting hypothesis at each
+    d of the iterable ds, one report per d.
 
     The hypothesis implies that ell does not divide d, so the stronger exact
     identity t^{(p)}(ell^{2n} d) = -ell^n B(ell^{2n}, d) is checked as well.
-    The check is charged as a grid of one (`check_grid`) before any trace, and
-    its traces share `memo` (a grid's calls pass one).
+    Every d's admissibility and splitting are checked and the grid charged
+    (`admit`) before any trace, and the call's traces share one `TraceMemo`.
     """
     level = _as_level(p)
     check_ell(level, ell)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_admissible(d, level):
-        raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
-    if not splits(ell, d):
-        raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
-    check_reach(ell, n, d)
-    check_grid(ell, n, [d], [1])
-    memo = memo or TraceMemo(level)
+    unit = check_reach(ell, n)
+
+    def charge(d):
+        if not is_admissible(d, level):
+            raise HypothesisViolation("inadmissible", f"d={d} for p={level.p}")
+        if not splits(ell, d):
+            raise HypothesisViolation("non-split", f"ell={ell} does not split in Q(sqrt(-{d}))")
+        return unit * d
+
+    ds = admit(ds, charge)[0]
+    memo = TraceMemo(level)
+    return [_congruence(memo, level, ell, d, n) for d in ds]
+
+
+def _congruence(memo: TraceMemo, level: PrimeLevel, ell: int, d: int, n: int) -> dict:
     big = trace(level, 1, ell ** (2 * n) * d, memo=memo)
     cong_ok = big.value % ell**n == 0
     lift = -b_coeff(level, ell ** (2 * n), d, memo)

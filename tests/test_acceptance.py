@@ -106,12 +106,12 @@ def test_criterion_5_recurrence():
         ds = [d for d in range(1, 100) if is_admissible(d, level)][:10]
         for n in (1, 2):
             for d in ds:
-                report = verify_recurrence(level, ell, 1, d, n)
+                [report] = verify_recurrence(level, ell, 1, [d], n)
                 assert report["ok"], (p, ell, d, n, report)
                 assert report["iterated_step_ok"], (p, ell, d, n)
                 count += 1
     # the named deep tuple: p=2, ell=3, d=8, n=2 reaches discriminant 648
-    assert verify_recurrence(PrimeLevel(2), 3, 1, 8, 2)["ok"]
+    assert verify_recurrence(PrimeLevel(2), 3, 1, [8], 2)[0]["ok"]
     elapsed = time.monotonic() - start
     assert elapsed < 900, f"criterion 5 took {elapsed:.1f}s"
     print(f"CRITERION 5: PASS - n-step recurrence exact on {count} tuples, "
@@ -125,7 +125,7 @@ def test_criterion_6_congruence_theorem():
     for p, ell, d in sample:
         level = PrimeLevel(p)
         try:
-            report = verify_congruence(level, ell, d, 1)
+            [report] = verify_congruence(level, ell, [d], 1)
         except HypothesisViolation as exc:
             # tuples that fail the splitting hypothesis must be rejected by
             # the gate, not silently passed through
@@ -138,7 +138,7 @@ def test_criterion_6_congruence_theorem():
         passed += 1
     # n = 2 on two hypothesis-satisfying tuples
     for p, ell, d in ((2, 3, 8), (5, 3, 11)):
-        report = verify_congruence(PrimeLevel(p), ell, d, 2)
+        [report] = verify_congruence(PrimeLevel(p), ell, [d], 2)
         assert report["ok"] and report["exact_lift_ok"], (p, ell, d)
     # ell | d tuple, outside the hypothesis: the congruence still holds
     assert trace(PrimeLevel(7), 1, 27).value % 3 == 0

@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface and its exit-code contract."""
 
-import argparse
 import csv
 import hashlib
 import io
@@ -269,10 +268,10 @@ class TestVerify:
         assert f"above the supported bound {qforms.MAX_DISC}" in json.loads(line)["error"]
 
     @pytest.mark.parametrize("argv, named, bound", [
-        # ell^(2n) d past qforms.MAX_DISC: refused before ell^(2n) is built
-        ("verify recurrence --ell 3 --n 10000000 --d 7", "ell=3, n=10000000, d=7",
+        # ell^(2n) past qforms.MAX_DISC: refused before ell^(2n) is built
+        ("verify recurrence --ell 3 --n 10000000 --d 7", "ell=3, n=10000000: ell^(2n)",
          qforms.MAX_DISC),
-        ("verify congruence --ell 11 --n 10000000 --d 7", "ell=11, n=10000000, d=7",
+        ("verify congruence --ell 11 --n 10000000 --d 7", "ell=11, n=10000000: ell^(2n)",
          qforms.MAX_DISC),
         # a Faber degree past traces.MAX_DEGREE: refused before any series is built
         ("trace --D 1000 --d 7", "Faber degree D=1000", traces.MAX_DEGREE),
@@ -281,20 +280,20 @@ class TestVerify:
         # for a check)
         ("trace --D 256 --d 9999999", "d=9999999", traces.MAX_COST // traces.degree_cost(256)),
         ("verify recurrence --ell 3 --D 7225 --d 1111111",
-         "(ell=3, n=1), times the cost of Faber degree sqrt(D), sum to 7829999217",
-         traces.MAX_COST),
+         "the request is charged 7829999217 up to d=1111111", traces.MAX_COST),
         ("verify recurrence --ell 3 --n 1 --D 1000000 --d 7", "ell=3, n=1, D=1000000",
          traces.MAX_DEGREE),
         ("verify coeff-identities --ell 3 --Dmax 7396 --dmax 40", "ell=3, n=1, D=7396",
          traces.MAX_DEGREE),
-        # a grid's largest member is checked before any list is built
-        (f"verify coeff-identities --ell 3 --Dmax {10**30} --dmax 7", f"ell=3, n=1, D={10**30}",
+        # a grid's D and d are read in ascending order, up to the first past a bound
+        (f"verify coeff-identities --ell 3 --Dmax {10**30} --dmax 7", "ell=3, n=1, D=7396",
          traces.MAX_DEGREE),
-        (f"verify coeff-identities --ell 3 --dmax {10**30}", f"ell=3, n=1, d={10**30}",
-         qforms.MAX_DISC),
-        (f"verify recurrence --ell 3 --dmax {10**30}", f"ell=3, n=1, d={10**30}",
-         qforms.MAX_DISC),
-        (f"verify congruence --ell 3 --dmax {10**30}", "ell=3, n=1, d=", qforms.MAX_DISC),
+        (f"verify coeff-identities --ell 3 --dmax {10**30}",
+         "the request is charged 10057536 up to d=608", traces.MAX_COST),
+        (f"verify recurrence --ell 3 --dmax {10**30}",
+         "the request is charged 10000080 up to d=2432", traces.MAX_COST),
+        (f"verify congruence --ell 3 --dmax {10**30}",
+         "the request is charged 10021977 up to d=4220", traces.MAX_COST),
     ])
     def test_reach_past_a_bound_exits_2_at_once(self, tmp_path, capsys, argv, named, bound):
         code, out, err = run(capsys, *argv.split(), "--p", "2",
@@ -304,6 +303,19 @@ class TestVerify:
         msg = json.loads(line)["error"]
         assert named in msg and f"above the supported bound {bound}" in msg
         assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (f"coeff-identities --Dmax {10**30} --dmax 3", "ell=3, n=1, D=7396: the Faber degree"),
+        ("recurrence --D 1000000 --dmax 3", "ell=3, n=1, D=1000000: the Faber degree"),
+        ("recurrence --n 12 --dmax 3", "ell=3, n=12: ell^(2n)"),
+        ("congruence --n 12 --dmax 0", "ell=3, n=12: ell^(2n)"),
+    ])
+    def test_out_of_bound_value_exits_2_on_an_empty_grid(self, tmp_path, capsys, argv, named):
+        # p=2 has no admissible d <= 3: an invalid --Dmax, --D or --n still exits 2
+        code, out, err = run(capsys, "verify", *argv.split(), "--p", "2", "--ell", "3",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith(named)
 
     @pytest.mark.parametrize("kind", ["congruence", "recurrence"])
     @pytest.mark.parametrize("d", ["0", "-7"])
@@ -408,15 +420,29 @@ class TestTraceTable:
         level = PrimeLevel(p)
         assert sum(d for d in range(1, first) if is_admissible(d, level)) <= traces.MAX_COST
         assert is_admissible(first, level)
-        assert sum(d for d in range(1, first + 1) if is_admissible(d, level)) > traces.MAX_COST
+        charge = sum(d for d in range(1, first + 1) if is_admissible(d, level))
+        assert charge > traces.MAX_COST
         cache = tmp_path / "c.jsonl"
         for dmax in (10**10, 10**30):
             code, out, err = run(capsys, "trace-table", "--p", str(p), "--dmax", str(dmax),
                                  "--cache", str(cache))
             assert (code, out) == (2, "") and not cache.exists()
             assert json.loads(err) == {"error": (
-                f"trace-table --p {p} --dmax {dmax}: the sum of the table's d passes the "
-                f"supported bound {traces.MAX_COST} at d={first}")}
+                f"the request is charged {charge} up to d={first}, above the supported bound "
+                f"{traces.MAX_COST}")}
+
+    def test_table_reads_no_d_past_the_first_refused(self, tmp_path, capsys, monkeypatch):
+        real = cli.is_admissible
+
+        def admissible(d, level):
+            if d > 7303:
+                pytest.fail(f"the table read d={d}, past the first refused d")
+            return real(d, level)
+
+        monkeypatch.setattr(cli, "is_admissible", admissible)
+        code, out, err = run(capsys, "trace-table", "--p", "2", "--dmax", str(10**30),
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert (code, out) == (2, "") and "up to d=7303," in json.loads(err)["error"]
 
     @pytest.mark.parametrize("fmt", [(), ("--format", "csv")], ids=["default", "csv"])
     def test_empty_table_prints_the_header(self, tmp_path, capsys, fmt):
@@ -727,13 +753,17 @@ class TestNoFractions:
                         ) == "0 False False"
 
 
+class _Admitted(Exception):
+    """Raised where a verifier makes its memo, after it has admitted its whole grid."""
+
+
 class TestGridBound:
     # the discriminants ell^(2n) d of a verify grid's checks, each times
-    # traces.degree_cost(sqrt(D)), sum to at most traces.MAX_COST; _grid refuses
-    # before any trace is computed
+    # traces.degree_cost(sqrt(D)), sum to at most traces.MAX_COST; the verifier
+    # refuses before any trace is computed
 
     @pytest.mark.parametrize("kind, flags, dmax, first", [
-        ("coeff-identities", (), 1000000, 608),  # passes the reach check, then ran for minutes
+        ("coeff-identities", (), 1000000, 608),  # each check within the bound, the grid not
         ("recurrence", ("--D", "7225"), 87, 87),  # 783 times the weight of D = 1
     ])
     def test_over_bound_grid_exits_2_at_once(self, capsys, kind, flags, dmax, first):
@@ -741,29 +771,47 @@ class TestGridBound:
                              "--dmax", str(dmax))
         assert code == 2 and out == "" and err.count("\n") == 1
         msg = json.loads(err)["error"]
-        assert msg.startswith(f"verify {kind} --p 2 --ell 3 --dmax {dmax}: ")
-        assert msg.endswith(f"supported bound {traces.MAX_COST} at d={first}")
+        assert msg.startswith("the request is charged ")  # no prefix names the command
+        assert msg.endswith(f"up to d={first}, above the supported bound {traces.MAX_COST}")
 
-    @pytest.mark.parametrize("kind, n, D, degrees, weight, keep, top", [
+    @pytest.mark.parametrize("kind, n, D, degrees, weight, top", [
         # D = 1, 4, 9, 16 at each d
-        ("coeff-identities", 1, 16, range(1, 5), 1 + 2 + 5 + 8, None, 607),
-        ("coeff-identities", 1, 7225, range(1, 86), 27001, None, 12),
-        ("congruence", 1, 1, (1,), 1, "splits", 4208),
-        ("recurrence", 1, 1, (1,), 1, None, 2431),
-        ("recurrence", 2, 1, (1,), 1, None, 808),
-        ("recurrence", 1, 7225, (85,), 783, None, 84),
+        ("coeff-identities", 1, 16, range(1, 5), 1 + 2 + 5 + 8, 607),
+        ("coeff-identities", 1, 7225, range(1, 86), 27001, 12),
+        ("congruence", 1, 1, (1,), 1, 4208),
+        ("recurrence", 1, 1, (1,), 1, 2431),
+        ("recurrence", 2, 1, (1,), 1, 808),
+        ("recurrence", 1, 7225, (85,), 783, 84),
     ])
-    def test_largest_grid_is_accepted_and_one_more_d_is_not(self, kind, n, D, degrees, weight,
-                                                              keep, top):
+    def test_largest_grid_is_accepted_and_one_more_d_is_not(self, monkeypatch, kind, n, D,
+                                                              degrees, weight, top):
         assert sum(map(traces.degree_cost, degrees)) == weight
-        keep = (lambda d: splits(3, d)) if keep else (lambda d: True)
-        args = argparse.Namespace(kind=kind, p=2, ell=3, dmax=top)
-        grid = cli._grid(args, PrimeLevel(2), n, D, degrees, keep)
-        assert grid[-1] == top and 9**n * weight * sum(grid) <= traces.MAX_COST
-        nxt = next(d for d in range(top + 1, 2 * top) if is_admissible(d, PrimeLevel(2)) and keep(d))
-        with pytest.raises(ValueError, match=f"at d={nxt}$"):
-            cli._grid(argparse.Namespace(kind=kind, p=2, ell=3, dmax=nxt), PrimeLevel(2), n, D,
-                      degrees, keep)
+        level = PrimeLevel(2)
+
+        def stop(p):
+            raise _Admitted
+
+        monkeypatch.setattr(traces, "TraceMemo", stop)
+
+        def grid(dmax):
+            return [d for d in range(1, dmax + 1) if is_admissible(d, level)
+                    and (kind != "congruence" or splits(3, d))]
+
+        def verify(ds):
+            if kind == "coeff-identities":
+                traces.verify_coeff_identities(level, 3, [m * m for m in degrees], ds)
+            elif kind == "congruence":
+                traces.verify_congruence(level, 3, ds, n)
+            else:
+                traces.verify_recurrence(level, 3, D, ds, n)
+
+        ds = grid(top)
+        assert ds[-1] == top and 9**n * weight * sum(ds) <= traces.MAX_COST
+        with pytest.raises(_Admitted):
+            verify(ds)
+        nxt = next(d for d in grid(2 * top) if d > top)
+        with pytest.raises(ValueError, match=f"up to d={nxt}, above"):
+            verify(grid(nxt))
 
     def test_degree_cost_is_the_floor_of_m_to_the_three_halves(self):
         assert [traces.degree_cost(m) for m in (1, 2, 3, 4, 5, 85, 256)] == [1, 2, 5, 8, 11, 783, 4096]

@@ -99,8 +99,8 @@ class TestTrace:
         lambda: trace(P2, 1, 23, memo=TraceMemo(P2)),
         lambda: b_coeff(P2, 4, 23),
         lambda: verify_coeff_identities(P2, 3, [1, 4], [7, 8]),
-        lambda: verify_recurrence(P2, 3, 1, 8, 1),
-        lambda: verify_congruence(P2, 3, 8, 1),
+        lambda: verify_recurrence(P2, 3, 1, [8], 1),
+        lambda: verify_congruence(P2, 3, [8], 1),
     ], ids=["trace", "memo-false", "ctx0", "memo", "b_coeff", "identities", "recurrence",
             "congruence"])
     def test_level_state_holds_only_the_series_and_faber_list(self, call):
@@ -692,14 +692,13 @@ class TestVerifyCoeffIdentities:
     def test_a_grid_charged_past_the_bound_computes_no_trace(self, monkeypatch):
         # each check is within the bound, the largest charged 9 * 999 * 8, but
         # the grid of D = 1, 4, 9, 16 and every admissible d <= 1000 is charged
-        # 9 * (1 + 2 + 5 + 8) * 188375, the sum of its d being 188375
+        # 9 * (1 + 2 + 5 + 8) = 144 per unit of d, and its d up to 608 sum to 69844
         monkeypatch.setattr(traces_mod, "trace", lambda *args, **kw: pytest.fail("trace called"))
         ds = [d for d in range(1, 1001) if is_admissible(d, P2)]
-        assert sum(ds) == 188375
-        with pytest.raises(ValueError, match=f"sum to 27126000, above the supported bound "
-                                             f"{MAX_COST} at d=608$"):
+        assert sum(ds[:ds.index(608)]) * 144 <= MAX_COST < sum(ds[:ds.index(608) + 1]) * 144
+        with pytest.raises(ValueError, match=f"^the request is charged {144 * 69844} up to "
+                                             f"d=608, above the supported bound {MAX_COST}$"):
             verify_coeff_identities(P2, 3, [1, 4, 9, 16], ds)
-        assert traces_mod.check_grid(3, 1, ds[:ds.index(608)], [1, 4, 9, 16]) <= MAX_COST
 
     def test_input_gates(self):
         with pytest.raises(HypothesisViolation) as exc:
@@ -719,22 +718,22 @@ class TestVerifyCoeffIdentities:
 
 class TestVerifyRecurrence:
     def test_n1_reduces_to_single_step(self):
-        rep = verify_recurrence(P2, 3, 1, 8, 1)
+        [rep] = verify_recurrence(P2, 3, 1, [8], 1)
         assert rep["ok"] and rep["iterated_step_ok"]
         assert int(rep["lhs"]) == int(rep["rhs"]) == int(rep["iterated_step"])
 
     def test_n2_touches_d648(self):
-        rep = verify_recurrence(P2, 3, 1, 8, 2)
+        [rep] = verify_recurrence(P2, 3, 1, [8], 2)
         assert rep["ok"] and rep["iterated_step_ok"]
 
     def test_level_3_example(self):
-        assert verify_recurrence(P3, 5, 1, 8, 1)["ok"]
+        assert verify_recurrence(P3, 5, 1, [8], 1)[0]["ok"]
 
     def test_square_D_and_bad_n(self):
         with pytest.raises(ValueError):
-            verify_recurrence(P2, 3, 2, 8, 1)
+            verify_recurrence(P2, 3, 2, [8], 1)
         with pytest.raises(ValueError):
-            verify_recurrence(P2, 3, 1, 8, 0)
+            verify_recurrence(P2, 3, 1, [8], 0)
 
     def test_a_check_charged_past_the_bound_computes_no_trace(self, monkeypatch):
         # 9 * 1111111 is within MAX_DISC, but its traces have Faber degree 85:
@@ -742,61 +741,110 @@ class TestVerifyRecurrence:
         monkeypatch.setattr(traces_mod, "trace", lambda *args, **kw: pytest.fail("trace called"))
         # it is refused as a grid of one check; in a grid with d = 4 the sum passes
         # the bound at the same check
-        msg = (r"grid's checks \(ell=3, n=1\), times the cost of Faber degree sqrt\(D\), sum to "
-               f"{{}}, above the supported bound {MAX_COST} at d=1111111$")
+        msg = f"^the request is charged {{}} up to d=1111111, above the supported bound {MAX_COST}$"
         with pytest.raises(ValueError, match=msg.format(7829999217)):
-            verify_recurrence(P2, 3, 7225, 1111111, 1)
+            verify_recurrence(P2, 3, 7225, [1111111], 1)
         with pytest.raises(ValueError, match=msg.format(9 * (1 + 783) * (4 + 1111111))):
             verify_coeff_identities(P2, 3, [1, 7225], [4, 1111111])
 
     def test_reach_past_the_bounds(self):
         # refused before ell^(2n) is built and before any trace: 3^(2 10^8) has
         # about 10^8 digits
-        with pytest.raises(ValueError, match=f"ell=3, n=100000000, d=7: .* above the "
-                                             f"supported bound {MAX_DISC}"):
-            verify_recurrence(P2, 3, 1, 7, 10**8)
+        with pytest.raises(ValueError, match=f"^ell=3, n=100000000: .* above the "
+                                             f"supported bound {MAX_DISC}$"):
+            verify_recurrence(P2, 3, 1, [7], 10**8)
         # 3^12 7 is within MAX_DISC, but B(3^12, 7) needs t_729(7)
         with pytest.raises(ValueError, match=f"ell=3, n=6, D=1: .* above the supported "
                                              f"bound {MAX_DEGREE}"):
-            verify_recurrence(P2, 3, 1, 7, 6)
+            verify_recurrence(P2, 3, 1, [7], 6)
         with pytest.raises(ValueError, match=f"ell=3, n=1, D=1000000: .* above the "
                                              f"supported bound {MAX_DEGREE}"):
-            verify_recurrence(P2, 3, 10**6, 7, 1)
+            verify_recurrence(P2, 3, 10**6, [7], 1)
 
 
 class TestVerifyCongruence:
     def test_exact_lift_example(self):
-        rep = verify_congruence(P2, 3, 8, 1)
+        [rep] = verify_congruence(P2, 3, [8], 1)
         assert rep["ok"] and rep["congruence_ok"] and rep["exact_lift_ok"]
         assert int(rep["trace"]) == trace(P2, 1, 72).value
         assert int(rep["trace"]) % 3 == 0
         assert int(rep["trace"]) == 3 * int(rep["lift_value"])
 
     def test_ell_11_example(self):
-        rep = verify_congruence(P2, 11, 7, 1)
+        [rep] = verify_congruence(P2, 11, [7], 1)
         assert rep["ok"]
         assert int(rep["trace"]) % 11 == 0
 
     def test_non_split_gate(self):
         with pytest.raises(HypothesisViolation) as exc:
-            verify_congruence(P2, 3, 7, 1)
+            verify_congruence(P2, 3, [7], 1)
         assert exc.value.reason == "non-split"
 
     def test_inadmissible_gate(self):
         with pytest.raises(HypothesisViolation) as exc:
-            verify_congruence(P2, 3, 5, 1)
+            verify_congruence(P2, 3, [5], 1)
         assert exc.value.reason == "inadmissible"
 
     def test_reach_past_the_bounds(self):
         # refused before ell^(2n) is built and before any trace
-        with pytest.raises(ValueError, match=f"ell=11, n=10000000, d=7: .* above the "
-                                             f"supported bound {MAX_DISC}"):
-            verify_congruence(P2, 11, 7, 10**7)
+        with pytest.raises(ValueError, match=f"^ell=11, n=10000000: .* above the "
+                                             f"supported bound {MAX_DISC}$"):
+            verify_congruence(P2, 11, [7], 10**7)
         # 263 splits in Q(sqrt(-7)) and 263^2 7 is within MAX_DISC, but the
         # exact lift B(263^2, 7) needs t_263(7)
         with pytest.raises(ValueError, match=f"ell=263, n=1, D=1: .* above the supported "
                                              f"bound {MAX_DEGREE}"):
-            verify_congruence(P2, 263, 7, 1)
+            verify_congruence(P2, 263, [7], 1)
+
+
+def _read_up_to(last, ds):
+    """ds, failing the test if it is read past `last`."""
+    for d in ds:
+        if d > last:
+            pytest.fail(f"d={d} was read, past the first refused d={last}")
+        yield d
+
+
+class TestAdmission:
+    # every table, grid and check is checked and charged by traces.admit before
+    # its first trace
+
+    def test_the_cost_bound_is_within_the_discriminant_bound(self):
+        # so a check's charge, at least its discriminant ell^(2n) d, bounds the discriminant
+        assert MAX_COST <= MAX_DISC
+
+    @pytest.mark.parametrize("call, reason", [
+        (lambda: verify_coeff_identities(P2, 3, [1], [7, 8, 5]), None),
+        (lambda: verify_recurrence(P2, 3, 1, [7, 8, 5], 1), None),
+        (lambda: verify_congruence(P2, 3, [8, 5], 1), "inadmissible"),
+        (lambda: verify_congruence(P2, 3, [8, 7], 1), "non-split"),
+    ], ids=["identities", "recurrence", "congruence-inadmissible", "congruence-non-split"])
+    def test_a_bad_d_is_refused_before_the_first_trace(self, monkeypatch, call, reason):
+        monkeypatch.setattr(traces_mod, "_class_sum", lambda *args: pytest.fail("trace computed"))
+        with pytest.raises(HypothesisViolation if reason else InadmissibleDiscriminant) as exc:
+            call()
+        assert getattr(exc.value, "reason", None) == reason
+
+    @pytest.mark.parametrize("call, first, charge", [
+        (lambda ds: verify_coeff_identities(P2, 3, [1, 4, 9, 16], ds), 608, 10057536),
+        (lambda ds: verify_recurrence(P2, 3, 1, ds, 1), 2432, 10000080),
+        (lambda ds: verify_congruence(P2, 3, (d for d in ds if kronecker(-d, 3) == 1),
+                                      1), 4220, 10021977),
+    ], ids=["identities", "recurrence", "congruence"])
+    def test_a_grid_reads_no_d_past_the_first_refused(self, monkeypatch, call, first, charge):
+        monkeypatch.setattr(traces_mod, "_class_sum", lambda *args: pytest.fail("trace computed"))
+        ds = (d for d in range(1, 10**30) if is_admissible(d, P2))
+        with pytest.raises(ValueError, match=f"^the request is charged {charge} up to d={first}, "
+                                             f"above the supported bound {MAX_COST}$"):
+            call(_read_up_to(first, ds))
+
+    def test_a_grid_reads_no_D_past_the_first_refused(self, monkeypatch):
+        # 3 * 86 is past MAX_DEGREE; with no D, no d is read
+        monkeypatch.setattr(traces_mod, "_class_sum", lambda *args: pytest.fail("trace computed"))
+        Ds = (m * m for m in range(1, 10**15))
+        with pytest.raises(ValueError, match=f"^ell=3, n=1, D=7396: .* bound {MAX_DEGREE}$"):
+            verify_coeff_identities(P2, 3, _read_up_to(7396, Ds), [7])
+        assert verify_coeff_identities(P2, 3, [], _read_up_to(0, [7]))["checks"] == []
 
 
 class TestTraceCache:
