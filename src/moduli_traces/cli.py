@@ -166,9 +166,7 @@ class _Helper:
                 os.close(r)
                 out = os.fdopen(w, "w", buffering=1)
                 for d in ds:
-                    rec = trace(level, 1, d)
-                    out.write(f"{d} {rec.value} {rec.bits} {rec.terms} {rec.class_count} "
-                              f"{rec.residual!r}\n")
+                    out.write(json.dumps(trace(level, 1, d)) + "\n")
             finally:
                 os._exit(0)
         os.close(w)
@@ -180,13 +178,10 @@ class _Helper:
         if d not in self.ds or self.lines.closed:
             return None
         line = self.lines.readline()
-        fields = line.split()
-        if not line.endswith("\n") or int(fields[0]) != d:
+        if not line.endswith("\n") or (rec := TraceRecord(*json.loads(line))).d != d:
             self.lines.close()  # the helper failed or died: the rest is computed here
             return None
-        value, bits, terms, count = map(int, fields[1:5])
-        self.memo.records[(1, d)] = TraceRecord(self.memo.level.p, 1, d, value, bits, terms,
-                                                "gkz", count, float(fields[5]))
+        self.memo.records[(1, d)] = rec
         return self.memo
 
     def close(self):

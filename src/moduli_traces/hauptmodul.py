@@ -83,3 +83,23 @@ def faber_polys(h: Hauptmodul, Dmax: int, polys: list[list[int]] = ()) -> list[l
         cur[0] -= D * b[D - 1]
         polys.append(cur)
     return polys[: Dmax + 1]
+
+
+# per level p, the series and the Faber list that faber_poly alone grows
+_STORE: dict[int, tuple[Hauptmodul, list[list[int]]]] = {}
+
+
+def faber_poly(p: PrimeLevel, D: int) -> list[int]:
+    """P_D at level p, sized here alone: the Hauptmodul series at the next power
+    of two at or above D + 2, the Faber list extended to exactly D, both kept
+    per level for the life of the process.  CM values come from the eta
+    product, so the series feeds only the Faber list.  Both are exact, so
+    growing either changes no value read from it."""
+    h, polys = _STORE.get(p.p, (None, ()))
+    if D < len(polys):  # the series was built to at least len(polys) + 1 >= D + 2
+        return polys[D]
+    if h is None or h.order < D + 2:
+        h = build_hauptmodul(p, 1 << (D + 1).bit_length())
+    polys = faber_polys(h, D, polys)
+    _STORE[p.p] = h, polys
+    return polys[D]

@@ -47,7 +47,7 @@ from .cm_eval import (
     plan_precision,
     round_to_integer,
 )
-from .hauptmodul import Hauptmodul, build_hauptmodul, faber_polys
+from .hauptmodul import faber_poly
 from .qforms import (
     MAX_DISC,
     HeegnerClass,
@@ -111,40 +111,7 @@ def _as_level(p) -> PrimeLevel:
 
 
 # ---------------------------------------------------------------------------
-# per-level series and per-call memo
-
-
-class _LevelState:
-    def __init__(self, level: PrimeLevel):
-        self.level = level
-        self.haupt: Hauptmodul | None = None
-        self.polys: list[list[int]] = []
-
-    def faber_poly(self, D: int) -> list[int]:
-        """P_D, sized here alone: the Hauptmodul series at the next power of two at
-        or above D + 2, the Faber list extended to exactly D.  CM values come
-        from the eta product, so the series feeds only the Faber list.  Both are
-        exact, so growing either changes no value read from it."""
-        if self.haupt is None or self.haupt.order < D + 2:
-            self.haupt = build_hauptmodul(self.level, 1 << (D + 1).bit_length())
-        if D >= len(self.polys):
-            self.polys = faber_polys(self.haupt, D, self.polys)
-        return self.polys[D]
-
-
-_STATES: dict[int, _LevelState] = {}
-
-
-def _state(level: PrimeLevel) -> _LevelState:
-    st = _STATES.get(level.p)
-    if st is None:
-        st = _STATES[level.p] = _LevelState(level)
-    return st
-
-
-def reset_state():
-    """Drop the per-level series and Faber lists (mainly for tests)."""
-    _STATES.clear()
+# per-call memo
 
 
 class TraceMemo:
@@ -167,7 +134,8 @@ class TraceMemo:
 
     def b(self, D: int | None, d: int | None) -> int:
         """B(D, d), extended by convention to 0 at a non-integer index (None),
-        looked up before `b_coeff` is called."""
+        looked up before `b_coeff` is called.  Every verifier reads its traces
+        here."""
         if D is None or d is None:
             return 0
         if (D, d) not in self.b_coeffs:
@@ -214,22 +182,24 @@ def _weights(level: PrimeLevel, d: int, classes: list[HeegnerClass]) -> dict[tup
     return primitive
 
 
-def _class_sum(st: _LevelState, D: int, d: int, memo: TraceMemo,
+def _class_sum(level: PrimeLevel, D: int, d: int, memo: TraceMemo,
                ctx0: PrecisionContext | None = None, method: str = "gkz") -> TraceRecord:
     """Sum P_D(j_p*) over the CM points of discriminant -d and certify the integer.
 
-    The sum is one fixed-point integer over memo.weights[d], from `_weights`,
-    each CM point evaluated at its primitive form.  memo.values keys a value by
+    P_D comes from `hauptmodul.faber_poly`, which alone keeps the level's
+    series and Faber list between calls.  The sum is one fixed-point integer
+    over memo.weights[d], from `_weights`, each CM point evaluated at its
+    primitive form.  memo.values keys a value by
     (primitive form, Wb), so it is a function of its key alone: each point is
     evaluated once per width bucket Wb, W rounded up to a multiple of
     memo.bucket, and every plan whose W falls in the bucket reads it shifted
     down to W, whatever its d and Faber degree.
     """
-    p = st.level.p
+    p = level.p
     classes, weights, values = memo.classes[d], memo.weights[d], memo.values
-    ctx = plan_precision(st.level, d, classes, ctx0, degree=D)
+    ctx = plan_precision(level, d, classes, ctx0, degree=D)
 
-    poly = st.faber_poly(D)
+    poly = faber_poly(level, D)
 
     def compute(c: PrecisionContext) -> Ratio:
         W = fixed_width(c.bits)
@@ -239,7 +209,7 @@ def _class_sum(st: _LevelState, D: int, d: int, memo: TraceMemo,
         for form, w in weights.items():
             key = (form, Wb)
             if key not in values:
-                values[key] = eta_hauptmodul(st.level, cm_point_q(form, bits), bits)
+                values[key] = eta_hauptmodul(level, cm_point_q(form, bits), bits)
             re, im = values[key]
             total += w * horner_poly(poly, (re >> shift, im >> shift), c.bits)[0]
         return Ratio(total, 12 << W)
@@ -274,7 +244,7 @@ def trace(
     hit gets its class count and is not written back.  With no memo (None or
     False) a call shares nothing: its values are evaluated at W in a memo of
     its own.  Every call shares only the exact series and Faber polynomials,
-    which `_LevelState.faber_poly` alone sizes.
+    which `hauptmodul.faber_poly` alone sizes and keeps.
     """
     level = _as_level(p)
     if D < 1:
@@ -302,7 +272,7 @@ def trace(
         if d not in memo.classes:
             memo.classes[d] = enumerate_classes(level, d, method)
             memo.weights[d] = _weights(level, d, memo.classes[d])
-        rec = memo.records[(D, d)] = _class_sum(_state(level), D, d, memo, ctx0, method)
+        rec = memo.records[(D, d)] = _class_sum(level, D, d, memo, ctx0, method)
     if cache is not None:
         cache.put(rec)  # a memo record was computed here, never read from a cache
     return rec
@@ -469,7 +439,7 @@ def _admit_ds(level: PrimeLevel, ds, unit: int) -> list[int]:
     """The admissible ds of a grid whose checks are charged `unit` per unit of d."""
     def charge(d):
         if not is_admissible(d, level):
-            raise InadmissibleDiscriminant(f"d={d} inadmissible for p={level.p}")
+            raise InadmissibleDiscriminant(f"d={d} is inadmissible for p={level.p}")
         return unit * d
     return admit(ds, charge)[0]
 
@@ -598,7 +568,8 @@ def verify_congruence(p, ell: int, ds, n: int) -> list[dict]:
     The hypothesis implies that ell does not divide d, so the stronger exact
     identity t^{(p)}(ell^{2n} d) = -ell^n B(ell^{2n}, d) is checked as well.
     Every d's admissibility and splitting are checked and the grid charged
-    (`admit`) before any trace, and the call's traces share one `TraceMemo`.
+    (`admit`) before any trace, and the call's traces share one `TraceMemo`,
+    whose `b` is all the checks read.
     """
     level = _as_level(p)
     check_ell(level, ell)
@@ -612,22 +583,22 @@ def verify_congruence(p, ell: int, ds, n: int) -> list[dict]:
         return unit * d
 
     ds = admit(ds, charge)[0]
-    memo = TraceMemo(level)
-    return [_congruence(memo, level, ell, d, n) for d in ds]
+    B = TraceMemo(level).b
+    return [_congruence(B, level, ell, d, n) for d in ds]
 
 
-def _congruence(memo: TraceMemo, level: PrimeLevel, ell: int, d: int, n: int) -> dict:
-    big = trace(level, 1, ell ** (2 * n) * d, memo=memo)
-    cong_ok = big.value % ell**n == 0
-    lift = -b_coeff(level, ell ** (2 * n), d, memo)
-    exact_ok = big.value == ell**n * lift
+def _congruence(B, level: PrimeLevel, ell: int, d: int, n: int) -> dict:
+    big = -B(1, ell ** (2 * n) * d)  # t(ell^(2n) d) = -B(1, ell^(2n) d)
+    cong_ok = big % ell**n == 0
+    lift = -B(ell ** (2 * n), d)
+    exact_ok = big == ell**n * lift
     return {
         "kind": "congruence",
         "p": level.p,
         "ell": ell,
         "d": d,
         "n": n,
-        "trace": str(big.value),
+        "trace": str(big),
         "modulus": str(ell**n),
         "congruence_ok": cong_ok,
         "ok": cong_ok and exact_ok,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from moduli_traces import cli, qforms, traces
+from moduli_traces import cli, hauptmodul, qforms, traces
 from moduli_traces.arith import PrimeLevel, is_admissible, splits
 from moduli_traces.cm_eval import PrecisionFailure, fixed_width
 from moduli_traces.hauptmodul import MAX_ORDER
@@ -240,6 +240,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "error" in json.loads(err)
 
+    def test_inadmissible_d_exits_2_with_the_one_wording(self, tmp_path, capsys):
+        # trace, the table helpers and every verifier name an inadmissible d alike;
+        # congruence refuses it as the named hypothesis "inadmissible"
+        code, out, err = run(capsys, "verify", "recurrence", "--p", "2", "--ell", "3", "--d", "5",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert (code, out) == (2, "") and json.loads(err) == {"error": "d=5 is inadmissible for p=2"}
+        code, out, err = run(capsys, "verify", "congruence", "--p", "2", "--ell", "3", "--d", "5",
+                             "--cache", str(tmp_path / "c.jsonl"))
+        assert (code, out) == (2, "") and json.loads(err) == {"error": "inadmissible: d=5 for p=2"}
+
     def test_non_square_D_exits_2_before_the_grid(self, tmp_path, capsys):
         for dmax in ("0", "8"):
             code, out, err = run(capsys, "verify", "recurrence", "--p", "2", "--ell", "3",
@@ -400,8 +410,8 @@ class TestTraceTable:
         assert code == 0 and len(forks) == 1
         rows = [int(r["d"]) for r in csv.DictReader(io.StringIO(out_cold))]
         assert _logged(calls) == rows and _logged(reps) == rows
-        st = traces._state(PrimeLevel(2))
-        assert set(vars(st)) == {"level", "haupt", "polys"}  # no memo outlives a row
+        h, polys = hauptmodul._STORE[2]  # no memo outlives a row: the level keeps these alone
+        assert type(h) is hauptmodul.Hauptmodul and type(polys) is list
 
         warm.write_bytes(cold.read_bytes())
         warm.chmod(0o444)  # as in the benchmark; a superuser can still write, so compare bytes
@@ -498,6 +508,30 @@ class TestTableHelper:
         assert code == 0 and len(forks) == 1 and len(ds) == 465 and ds[293] == 784
         assert calls == ds[:293]
         assert [int(r["d"]) for r in csv.DictReader(io.StringIO(csv_bytes.decode()))] == ds
+
+    def test_helper_records_equal_the_one_cpu_records(self, tmp_path, capsys, monkeypatch):
+        # the helper hands each record over whole: every record cli.trace returns
+        # on the helper path equals the one-CPU run's, residual included
+        records, computed, real_trace, real_sum = [], [], cli.trace, traces._class_sum
+
+        def kept(*args, **kwargs):
+            records.append(real_trace(*args, **kwargs))
+            return records[-1]
+
+        def counted(level, D, d, *args):
+            computed.append(d)  # this process's list only: the helper's copy is its own
+            return real_sum(level, D, d, *args)
+
+        monkeypatch.setattr(cli, "trace", kept)
+        monkeypatch.setattr(traces, "_class_sum", counted)
+        forks = _forks(monkeypatch)
+        _cpus(monkeypatch, 1)
+        self.table(capsys, tmp_path, "alone", 2, 400)
+        alone, records[:], computed[:] = list(records), [], []
+        _cpus(monkeypatch, 2)
+        self.table(capsys, tmp_path, "split", 2, 400)
+        assert len(forks) == 1 and 0 < len(computed) < len(records)  # the helper sent the rest
+        assert records == alone and all(type(r.residual) is float for r in records)
 
     def test_a_failing_helper_row_exits_3_as_with_one_cpu(self, tmp_path, capsys, monkeypatch):
         ds = [d for d in range(1, 401) if is_admissible(d, PrimeLevel(2))]

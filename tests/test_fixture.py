@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from moduli_traces.traces import reset_state
+from moduli_traces import hauptmodul
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -22,9 +22,8 @@ def make_fixture(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     module = importlib.import_module("make_fixture")
     monkeypatch.setattr(module, "FIXTURE_DMAX", {p: 100 for p in module.LEVELS})
-    reset_state()
-    yield module
-    reset_state()
+    monkeypatch.setattr(hauptmodul, "_STORE", {})  # every series and Faber list built afresh
+    return module
 
 
 def test_regenerated_prefix_matches_fixture(make_fixture):

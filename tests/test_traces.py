@@ -17,6 +17,7 @@ import mpmath
 import pytest
 
 import oracles
+from moduli_traces import hauptmodul as hauptmodul_mod
 from moduli_traces import traces as traces_mod
 from moduli_traces.arith import SUPPORTED_LEVELS, PrimeLevel, divisors, is_admissible, kronecker
 from moduli_traces.cm_eval import (
@@ -26,10 +27,11 @@ from moduli_traces.cm_eval import (
     fixed_width,
     plan_precision,
 )
-from moduli_traces.hauptmodul import build_hauptmodul, faber_polys
+from moduli_traces.hauptmodul import Hauptmodul, build_hauptmodul, faber_poly, faber_polys
 from moduli_traces.qforms import (
     MAX_DISC,
     InadmissibleDiscriminant,
+    brute_force_labels,
     enumerate_classes,
 )
 from moduli_traces.qseries import WindowError
@@ -42,13 +44,11 @@ from moduli_traces.traces import (
     TraceCache,
     TraceMemo,
     TraceRecord,
-    _state,
     a_coeff,
     b_coeff,
     degree_cost,
     hecke_apply,
     plus_condition,
-    reset_state,
     trace,
     verify_coeff_identities,
     verify_congruence,
@@ -57,6 +57,14 @@ from moduli_traces.traces import (
 
 P2 = PrimeLevel(2)
 P3 = PrimeLevel(3)
+
+
+def fresh_store(monkeypatch) -> dict:
+    """An empty per-level store for hauptmodul.faber_poly, the old one restored after the test."""
+    store = {}
+    monkeypatch.setattr(hauptmodul_mod, "_STORE", store)
+    return store
+
 
 # independently recomputed in every full run via the integrality certificate;
 # pinned here to catch silent regressions of the whole pipeline
@@ -103,15 +111,17 @@ class TestTrace:
         lambda: verify_congruence(P2, 3, [8], 1),
     ], ids=["trace", "memo-false", "ctx0", "memo", "b_coeff", "identities", "recurrence",
             "congruence"])
-    def test_level_state_holds_only_the_series_and_faber_list(self, call):
-        # the process keeps no classes, weights, CM values or records between calls
-        reset_state()
-        try:
-            call()
-            assert {p: set(vars(st)) for p, st in traces_mod._STATES.items()} == {
-                2: {"level", "haupt", "polys"}}
-        finally:
-            reset_state()
+    def test_level_state_holds_only_the_series_and_faber_list(self, monkeypatch, call):
+        # the process keeps no classes, weights, CM values or records between
+        # calls: only hauptmodul's per-level series and Faber list, and no
+        # module-level table of traces grows
+        store = fresh_store(monkeypatch)
+        tables = {k: len(v) for k, v in vars(traces_mod).items() if isinstance(v, dict)}
+        call()
+        [(p, (h, polys))] = store.items()
+        assert p == 2 and type(h) is Hauptmodul and set(vars(h)) == {"p", "series"}
+        assert type(polys) is list and all(type(P) is list for P in polys)
+        assert {k: len(v) for k, v in vars(traces_mod).items() if isinstance(v, dict)} == tables
 
     @pytest.mark.parametrize("kwargs", [{}, {"memo": False}])
     def test_calls_without_a_memo_each_compute(self, monkeypatch, kwargs):
@@ -186,18 +196,15 @@ class TestTrace:
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps({"p": 2, "D": D, "d": refused, "t": "5", "bits": 128,
                                     "terms": 64, "method": "gkz"}) + "\n")
-        reset_state()
-        try:
-            with TraceCache(path) as cache:
-                with pytest.raises(ValueError, match=f"d={refused} is above the supported bound "
-                                                     f"{MAX_COST // degree_cost(D)} at Faber degree D={D}"):
-                    trace(P2, D, refused, cache=cache)
-            assert _state(P2).haupt is None and calls == []
-            with pytest.raises(Reached):
-                trace(P2, D, admitted)
-            assert calls == [(P2, admitted, "gkz")]
-        finally:
-            reset_state()
+        store = fresh_store(monkeypatch)
+        with TraceCache(path) as cache:
+            with pytest.raises(ValueError, match=f"d={refused} is above the supported bound "
+                                                 f"{MAX_COST // degree_cost(D)} at Faber degree D={D}"):
+                trace(P2, D, refused, cache=cache)
+        assert store == {} and calls == []
+        with pytest.raises(Reached):
+            trace(P2, D, admitted)
+        assert calls == [(P2, admitted, "gkz")]
 
     def test_memoized_oracle_request_evaluates_its_own_values(self, monkeypatch):
         memo = TraceMemo(P2)
@@ -368,19 +375,16 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace(P2, 0, 4)
 
-    def test_degree_bound(self):
+    def test_degree_bound(self, monkeypatch):
         # a degree past MAX_DEGREE is refused before any series or Faber
         # polynomial is built; the bound itself is accepted
-        reset_state()
-        try:
-            for D in (MAX_DEGREE + 1, 10**6):
-                with pytest.raises(ValueError,
-                                   match=f"D={D} is above the supported bound {MAX_DEGREE}"):
-                    trace(P2, D, 7)
-            assert _state(P2).haupt is None
-            assert trace(PrimeLevel(13), MAX_DEGREE, 3).residual < 1e-6
-        finally:
-            reset_state()
+        store = fresh_store(monkeypatch)
+        for D in (MAX_DEGREE + 1, 10**6):
+            with pytest.raises(ValueError,
+                               match=f"D={D} is above the supported bound {MAX_DEGREE}"):
+                trace(P2, D, 7)
+        assert store == {}
+        assert trace(PrimeLevel(13), MAX_DEGREE, 3).residual < 1e-6
 
     def test_record_provenance(self):
         rec = trace(P2, 1, 23)
@@ -438,23 +442,20 @@ class TestTrace:
 
 
 class TestSeriesSizing:
-    """_LevelState.faber_poly sizes the Hauptmodul and the Faber list in one place."""
+    """hauptmodul.faber_poly sizes the Hauptmodul and the Faber list in one place."""
 
     @pytest.mark.parametrize("p", [2, 13])
     def test_each_hauptmodul_build_is_a_larger_power_of_two(self, monkeypatch, p):
         level = PrimeLevel(p)
         orders = []
-        build = traces_mod.build_hauptmodul
-        monkeypatch.setattr(traces_mod, "build_hauptmodul",
+        build = hauptmodul_mod.build_hauptmodul
+        monkeypatch.setattr(hauptmodul_mod, "build_hauptmodul",
                             lambda lv, N: orders.append(N) or build(lv, N))
-        reset_state()
-        try:
-            for D, dmax in ((1, 300), (5, 30)):
-                for d in range(1, dmax + 1):
-                    if is_admissible(d, level):
-                        trace(level, D, d)
-        finally:
-            reset_state()
+        fresh_store(monkeypatch)
+        for D, dmax in ((1, 300), (5, 30)):
+            for d in range(1, dmax + 1):
+                if is_admissible(d, level):
+                    trace(level, D, d)
         assert orders and all(N & (N - 1) == 0 for N in orders)
         assert all(a < b for a, b in zip(orders, orders[1:]))
         # the series feeds only the Faber list: the Faber degree sizes it, the
@@ -462,19 +463,16 @@ class TestSeriesSizing:
         assert orders[0] >= 1 + 2
         assert orders == [4, 8]
 
-    def test_faber_list_grows_to_exactly_the_degree(self):
+    def test_faber_list_grows_to_exactly_the_degree(self, monkeypatch):
         # the level's Faber list is extended to D itself, not to the next
         # power of two: past 256 that would be the list to 512, ten times dearer
-        reset_state()
-        try:
-            trace(P2, 15, 7)
-            st = _state(P2)
-            head = st.polys
-            assert head == faber_polys(build_hauptmodul(P2, 64), 15)
-            st.faber_poly(257)
-            assert len(st.polys) == 258 and st.polys[:16] == head
-        finally:
-            reset_state()
+        store = fresh_store(monkeypatch)
+        trace(P2, 15, 7)
+        head = store[2][1]
+        assert head == faber_polys(build_hauptmodul(P2, 64), 15)
+        faber_poly(P2, 257)
+        polys = store[2][1]
+        assert len(polys) == 258 and polys[:16] == head
 
 
 class TestBCoeff:
@@ -797,6 +795,50 @@ class TestVerifyCongruence:
             verify_congruence(P2, 263, [7], 1)
 
 
+class TestVerifiersReadOnlyB:
+    """Each verifier is a function of B alone: with no trace computable and
+    TraceMemo.b a table, the reports are the ones that table implies."""
+
+    # at ell = 3, (1/3) = (-8/3) = (-23/3) = 1, so the recurrence at n = 1 is
+    # B(1, 9d) = 3 B(9, d) and the congruence t(9d) = -B(1, 9d) = 3 (-B(9, d))
+    TABLE = {(1, 72): -30, (9, 8): -10, (1, 8): 7, (1, 207): 5, (9, 23): 2, (1, 23): 4}
+
+    @pytest.fixture(autouse=True)
+    def b_table(self, monkeypatch):
+        read = []
+
+        def b(memo, D, d):
+            if D is None or d is None:
+                return 0
+            read.append((D, d))
+            return self.TABLE[(D, d)]
+
+        monkeypatch.setattr(traces_mod, "_class_sum",
+                            lambda *args: pytest.fail("a verifier computed a trace"))
+        monkeypatch.setattr(TraceMemo, "b", b)
+        return read
+
+    def test_congruence(self, b_table):
+        assert verify_congruence(P2, 3, [8, 23], 1) == [
+            {"kind": "congruence", "p": 2, "ell": 3, "d": 8, "n": 1, "trace": "30",
+             "modulus": "3", "congruence_ok": True, "ok": True, "lift_value": "10",
+             "exact_lift_ok": True},
+            {"kind": "congruence", "p": 2, "ell": 3, "d": 23, "n": 1, "trace": "-5",
+             "modulus": "3", "congruence_ok": False, "ok": False, "lift_value": "-2",
+             "exact_lift_ok": False},
+        ]
+        assert b_table == [(1, 72), (9, 8), (1, 207), (9, 23)]
+
+    def test_recurrence(self, b_table):
+        assert verify_recurrence(P2, 3, 1, [8, 23], 1) == [
+            {"kind": "recurrence", "p": 2, "ell": 3, "D": 1, "d": 8, "n": 1, "lhs": "-30",
+             "rhs": "-30", "ok": True, "iterated_step": "-30", "iterated_step_ok": True},
+            {"kind": "recurrence", "p": 2, "ell": 3, "D": 1, "d": 23, "n": 1, "lhs": "5",
+             "rhs": "6", "ok": False, "iterated_step": "6", "iterated_step_ok": False},
+        ]
+        assert set(b_table) == set(self.TABLE)
+
+
 def _read_up_to(last, ds):
     """ds, failing the test if it is read past `last`."""
     for d in ds:
@@ -824,6 +866,17 @@ class TestAdmission:
         with pytest.raises(HypothesisViolation if reason else InadmissibleDiscriminant) as exc:
             call()
         assert getattr(exc.value, "reason", None) == reason
+
+    @pytest.mark.parametrize("call", [
+        lambda: trace(P2, 1, 5),
+        lambda: verify_coeff_identities(P2, 3, [1], [7, 5]),
+        lambda: verify_recurrence(P2, 3, 1, [7, 5], 1),
+        lambda: enumerate_classes(P2, 5),
+        lambda: brute_force_labels(P2, 5),
+    ], ids=["trace", "identities", "recurrence", "enumerate", "brute"])
+    def test_one_wording_for_an_inadmissible_d(self, call):
+        with pytest.raises(InadmissibleDiscriminant, match="^d=5 is inadmissible for p=2$"):
+            call()
 
     @pytest.mark.parametrize("call, first, charge", [
         (lambda ds: verify_coeff_identities(P2, 3, [1, 4, 9, 16], ds), 608, 10057536),
